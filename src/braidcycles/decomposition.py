@@ -6,7 +6,8 @@ construction, the balanced trees.  Pairing a sequence against a tree is the
 determinant of a 0/1 incidence matrix: entry (i, j) records whether leaves
 k_i and i+1 are both enclosed by the tree's j-th node.  A tree's cycle
 decomposes over the balanced basis with exactly these determinants as
-coordinates.
+coordinates.  Each determinant is a permutation sign (see _coordinates), so
+every coordinate lies in {-1, 0, +1}.
 
 Sign conventions: a tree contributes its incidence columns in the canonical
 node ordering; the basis element attached to k uses the construction ordering
@@ -20,9 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k
 from .errors import DomainError
@@ -51,8 +50,9 @@ def k_sequences(g: int) -> list[KSequence]:
 
 
 @functools.lru_cache(maxsize=None)
-def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...]]:
-    """Run the merge construction; return the tree and its construction ordering.
+def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...], int]:
+    """Run the merge construction; return the tree, its construction
+    ordering, and the parity between its canonical and construction orderings.
 
     Clusters start as singletons {1}, ..., {g-1}; step i (taken for i = g-2
     down to 1) joins the cluster whose representative is k_i with the one
@@ -71,7 +71,9 @@ def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...]]:
         set_of[a] = set_of[a] | set_of[b]
         created.append(set_of[a])
         del node_of[b], set_of[b]
-    return Tree.from_node(node_of[1]), tuple(reversed(created))
+    tree = Tree.from_node(node_of[1])
+    ordering = tuple(reversed(created))
+    return tree, ordering, parity_between(descendant_sets(tree), ordering)
 
 
 def build_balanced_tree(k: Sequence[int]) -> Tree:
@@ -87,37 +89,23 @@ def construction_ordering(k: Sequence[int]) -> tuple[frozenset[int], ...]:
 def balanced_tree_to_k(t: Tree) -> KSequence:
     """Invert the merge construction on a balanced tree.
 
-    Peels the largest leaf label repeatedly: in a balanced tree its sibling
-    is always a leaf, and that sibling label is the corresponding entry.
+    Step i of the construction joins a cluster with minimum k_i and one with
+    minimum i+1, so every node whose children have minima lo < hi gives
+    k_{hi-1} = lo.
     """
     if not is_balanced(t):
         raise DomainError(f"tree {t.render()} is not balanced")
-    node = t.root
     k = [0] * (t.genus - 2)
-    for lab in range(t.genus - 1, 1, -1):
-        node, sib = _peel(node, lab)
-        k[lab - 2] = sib
+
+    def walk(node) -> int:
+        if isinstance(node, int):
+            return node
+        lo, hi = sorted((walk(node[0]), walk(node[1])))
+        k[hi - 2] = lo
+        return lo
+
+    walk(t.root)
     return tuple(k)
-
-
-def _peel(node, lab):
-    a, b = node
-    for this, other in ((a, b), (b, a)):
-        if this == lab:
-            if not isinstance(other, int):
-                raise DomainError("largest leaf has a non-leaf sibling; tree is not balanced")
-            return other, other
-    if not isinstance(a, int) and lab in _labels(a):
-        new, sib = _peel(a, lab)
-        return (new, b), sib
-    new, sib = _peel(b, lab)
-    return (a, new), sib
-
-
-def _labels(node) -> frozenset[int]:
-    if isinstance(node, int):
-        return frozenset((node,))
-    return _labels(node[0]) | _labels(node[1])
 
 
 def perm_sign_of(perm: Sequence[int]) -> int:
@@ -148,8 +136,14 @@ def parity_between(a: Sequence[frozenset[int]], b: Sequence[frozenset[int]]) -> 
 
 def epsilon(k: Sequence[int]) -> int:
     """Parity between canonical and construction orderings of the tree of k."""
-    tree, construction = _construct(validate_k(k))
-    return parity_between(descendant_sets(tree), construction)
+    return _construct(validate_k(k))[2]
+
+
+def _validate_for(k: Sequence[int], t: Tree) -> KSequence:
+    k = validate_k(k)
+    if len(k) != t.genus - 2:
+        raise DomainError(f"sequence of length {len(k)} does not match genus {t.genus}")
+    return k
 
 
 def incidence_matrix(k: Sequence[int], t: Tree,
@@ -160,9 +154,7 @@ def incidence_matrix(k: Sequence[int], t: Tree,
     Columns follow the tree's canonical node ordering unless an explicit
     `ordering` (a permutation of the tree's node sets) is supplied.
     """
-    k = validate_k(k)
-    if len(k) != t.genus - 2:
-        raise DomainError(f"sequence of length {len(k)} does not match genus {t.genus}")
+    k = _validate_for(k, t)
     canonical = descendant_sets(t)
     if ordering is None:
         sets = canonical
@@ -178,39 +170,14 @@ def incidence_matrix(k: Sequence[int], t: Tree,
 
 
 def det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant.
-
-    Cofactor expansion below size 5, fraction-free (Bareiss) elimination from
-    size 5 up; every intermediate value stays an integer.
-    """
-    rows = [list(map(int, row)) for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Exact integer determinant by fraction-free (Bareiss) elimination;
+    every intermediate value stays an integer."""
+    m = [list(map(int, row)) for row in matrix]
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise DomainError("matrix must be square")
     if n == 0:
         return 1
-    if n < 5:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
-
-
-def _det_cofactor(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j, a in enumerate(rows[0]):
-        if a == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        total += (-1) ** j * a * _det_cofactor(minor)
-    return total
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
     sign = 1
     prev = 1
     for col in range(n - 1):
@@ -228,33 +195,62 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def det_batch(mats: Iterable[Sequence[Sequence[int]]] | np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack of small integer matrices.
+def _coordinates(t: Tree, ordering: Sequence[frozenset[int]] | None = None,
+                 k: KSequence | None = None) -> dict[KSequence, int]:
+    """Every nonzero det(incidence_matrix(k, t, ordering)), keyed by k; with
+    `k` given, only that sequence is tried.
 
-    Dynamic programming over column subsets in int64; meant for the 0/1
-    incidence matrices, whose minors are far below the int64 range.
+    Row i of the incidence matrix marks the ancestors-or-self of the node
+    a_i = LCA(k_i, i+1), so X = A.Z: A selects node a_i in row i and Z is the
+    ancestor matrix.  Z is unitriangular in the canonical ordering (ancestors
+    come first) and conjugate to it by a permutation in any other, so
+    det Z = 1 and det X is the sign of i -> position of a_i when that map is
+    a bijection, 0 otherwise.  Backtracking over the rows skips nodes already
+    in the image, so only the support is visited.  `ordering` must be a
+    permutation of the tree's node sets; the canonical ordering is the default.
     """
-    arr = np.asarray(mats, dtype=np.int64)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DomainError(f"expected a stack of square matrices, got shape {arr.shape}")
-    count, n = arr.shape[0], arr.shape[1]
-    if n == 0:
-        return np.ones(count, dtype=np.int64)
-    level = {0: np.ones(count, dtype=np.int64)}
-    for r in range(1, n + 1):
-        nxt = {}
-        for cols in itertools.combinations(range(n), r):
-            mask = sum(1 << c for c in cols)
-            acc = np.zeros(count, dtype=np.int64)
-            for idx, j in enumerate(cols):
-                term = arr[:, r - 1, j] * level[mask ^ (1 << j)]
-                if (r - 1 + idx) % 2:
-                    acc -= term
-                else:
-                    acc += term
-            nxt[mask] = acc
-        level = nxt
-    return level[(1 << n) - 1]
+    if ordering is None:
+        ordering = descendant_sets(t)
+    position = {s: p for p, s in enumerate(ordering)}
+    lca = [[0] * t.genus for _ in range(t.genus)]
+
+    def walk(node) -> tuple[int, ...]:
+        # the node is the LCA of every left leaf with every right leaf
+        if isinstance(node, int):
+            return (node,)
+        left, right = walk(node[0]), walk(node[1])
+        p = position[frozenset(left + right)]
+        for a in left:
+            for b in right:
+                lca[a][b] = lca[b][a] = p
+        return left + right
+
+    walk(t.root)
+    m = t.genus - 2
+    # rows[i][a]: the values of k_{i+1} whose row selects the node at position a
+    rows: list[dict[int, list[int]]] = []
+    for i in range(1, m + 1):
+        choices: dict[int, list[int]] = {}
+        for ki in range(1, i + 1) if k is None else (k[i - 1],):
+            choices.setdefault(lca[ki][i + 1], []).append(ki)
+        rows.append(choices)
+    image: list[int] = []
+    coords: dict[KSequence, int] = {}
+
+    def extend(i: int) -> None:
+        if i == m:
+            sign = perm_sign_of(image)
+            for seq in itertools.product(*(row[a] for row, a in zip(rows, image))):
+                coords[seq] = sign
+            return
+        for a in rows[i]:
+            if a not in image:
+                image.append(a)
+                extend(i + 1)
+                image.pop()
+
+    extend(0)
+    return coords
 
 
 def _pair_sign(g: int) -> int:
@@ -264,7 +260,8 @@ def _pair_sign(g: int) -> int:
 def pair(k: Sequence[int], t: Tree) -> int:
     """Pairing of the k-th top-degree basis monomial against the tree's cycle:
     (-1)^C(g-2,2) times the incidence determinant in canonical ordering."""
-    return _pair_sign(t.genus) * det(incidence_matrix(k, t))
+    k = _validate_for(k, t)
+    return _pair_sign(t.genus) * _coordinates(t, k=k).get(k, 0)
 
 
 def pair_class(c: CohomologyClass, t: Tree) -> int:
@@ -307,13 +304,9 @@ class CycleDecomposition:
 
 
 def decompose(t: Tree) -> CycleDecomposition:
-    """Expand a tree's cycle over the balanced basis; one determinant per k."""
-    coeffs = {}
-    for k in k_sequences(t.genus):
-        d = det(incidence_matrix(k, t))
-        if d:
-            coeffs[k] = d
-    return CycleDecomposition.from_dict(t.genus, coeffs)
+    """Expand a tree's cycle over the balanced basis: the incidence
+    determinants, as LCA permutation signs over the support."""
+    return CycleDecomposition.from_dict(t.genus, _coordinates(t))
 
 
 def duality_table(g: int) -> list[list[int]]:
@@ -321,12 +314,12 @@ def duality_table(g: int) -> list[list[int]]:
     canonical column ordering.  Diagonal entries are the parities epsilon(k);
     off-diagonal entries vanish."""
     ks = k_sequences(g)
-    trees = [build_balanced_tree(k) for k in ks]
-    return [[det(incidence_matrix(kp, t)) for t in trees] for kp in ks]
+    columns = [_coordinates(build_balanced_tree(k)) for k in ks]
+    return [[col.get(kp, 0) for col in columns] for kp in ks]
 
 
 def unit_triangular_certificate(k: Sequence[int]) -> Matrix:
     """Incidence matrix of k against its own tree in construction ordering;
     lower unitriangular by construction."""
-    tree, ordering = _construct(validate_k(k))
+    tree, ordering, _ = _construct(validate_k(k))
     return incidence_matrix(k, tree, ordering=ordering)

@@ -262,6 +262,15 @@ class SignedTreeSum:
         return CycleDecomposition.from_dict(self.g, coeffs)
 
 
+# Reductions of canonical trees, shared by every untraced call without an
+# explicit step limit: a tree's reduction never changes, and callers that
+# reduce many trees of one genus (crosspath, checks of the determinant route)
+# revisit the same intermediate trees.  Emptied when it reaches the cap, so
+# it stays bounded.
+_SHARED_MEMO: dict[Tree, dict[Tree, int]] = {}
+_SHARED_MEMO_CAP = 1 << 15
+
+
 def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
                        step_limit: int | None = None) -> SignedTreeSum:
     """Rewrite a tree's cycle as a signed sum of balanced-tree cycles.
@@ -272,16 +281,20 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     Each rotation is reported to `trace` when given (which also disables
     memoization, so the trace covers the whole recursion tree).  The step
     ceiling of 3^g is a circuit breaker only; the height measure already
-    guarantees termination.
+    guarantees termination.  Reductions are memoized across calls, except
+    under an explicit `step_limit`, which then counts every rotation of this
+    tree's reduction.
     """
     limit = 3 ** t.genus if step_limit is None else step_limit
     steps = 0
-    memo: dict[Tree, dict[Tree, int]] = {}
+    memo = _SHARED_MEMO if step_limit is None else {}
 
     def reduce_canonical(tree: Tree) -> dict[Tree, int]:
         nonlocal steps
-        if trace is None and tree in memo:
-            return memo[tree]
+        if trace is None:
+            known = memo.get(tree)
+            if known is not None:
+                return known
         v = find_unbalanced(tree)
         if v is None:
             result = {tree: 1}
@@ -300,6 +313,8 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
                     result[term] = result.get(term, 0) - sigma * c
             result = {term: c for term, c in result.items() if c != 0}
         if trace is None:
+            if len(memo) >= _SHARED_MEMO_CAP:
+                memo.clear()
             memo[tree] = result
         return result
 

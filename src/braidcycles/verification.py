@@ -16,15 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from .arnold import rank, straighten, w
 from .decomposition import (
+    _coordinates,
     build_balanced_tree,
     decompose,
-    det_batch,
     epsilon,
     k_sequences,
+    perm_sign_of,
     unit_triangular_certificate,
 )
 from .errors import DomainError
@@ -105,16 +104,13 @@ def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
         k = ks[col]
         tree = trees[col]
         bad = []
-        ordering = descendant_sets(tree)
-        mem = _membership(ordering, g)
-        mats = _incidence_stack(mem, _k_array(g))
-        dets = det_batch(mats)
+        coords = _coordinates(tree)
         eps = epsilon(k)
-        for row, value in enumerate(dets):
-            expected = eps if row == col else 0
-            if int(value) != expected:
-                bad.append({"check": "canonical-table", "k": list(ks[row]),
-                            "tree": tree.render(), "got": int(value),
+        for row in sorted(coords.keys() | {k}):
+            expected = eps if row == k else 0
+            if coords.get(row, 0) != expected:
+                bad.append({"check": "canonical-table", "k": list(row),
+                            "tree": tree.render(), "got": coords.get(row, 0),
                             "expected": expected})
         cert = unit_triangular_certificate(k)
         for i in range(size):
@@ -128,26 +124,6 @@ def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
     failures.sort(key=lambda f: (f["check"], str(f.get("k"))))
     return SuiteReport("duality", g, len(ks) * len(ks) + len(ks), failures,
                        int((time.perf_counter() - start) * 1000))
-
-
-def _k_array(g: int) -> np.ndarray:
-    return np.array(k_sequences(g), dtype=np.int64)
-
-
-def _membership(ordering: Sequence[frozenset[int]], g: int) -> np.ndarray:
-    """mem[l, j] = 1 iff label l+1 belongs to the j-th set."""
-    mem = np.zeros((g - 1, g - 2), dtype=np.int64)
-    for j, s in enumerate(ordering):
-        for lab in s:
-            mem[lab - 1, j] = 1
-    return mem
-
-
-def _incidence_stack(mem: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    """Incidence matrices of every index sequence at once, shape (K, m, m)."""
-    m = mem.shape[1]
-    paired = mem[1:m + 1, None, :] * mem[None, :m, :]
-    return paired[np.arange(m)[None, :], kk - 1]
 
 
 def relation_cases(g: int) -> list[tuple[Tree, int]]:
@@ -168,43 +144,43 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
     """
     if g < 3:
         raise DomainError(f"genus must be at least 3, got {g}")
+    _check_sample(sample)
     start = time.perf_counter()
     pool = relation_cases(g)
     if g <= 5:
         cases = pool
     else:
         cases = [pool[i] for i in _sample_indices(len(pool), sample, seed)]
-    kk = _k_array(g)
-    chunks = [cases[i:i + 256] for i in range(0, len(cases), 256)]
 
-    def check_chunk(chunk: Sequence[tuple[Tree, int]]) -> list[dict]:
+    def check_case(case: tuple[Tree, int]) -> list[dict]:
+        tree, pos = case
+        triple = rotation_triple(tree, pos)
+        trees = [ot.tree for ot in triple.trees]
+
+        def witness(check: str) -> dict:
+            return {"check": check, "tree": tree.render(), "node": pos,
+                    "triple": [t.render() for t in trees]}
+
         bad = []
-        stacks = []
-        triples = []
-        for tree, pos in chunk:
-            triple = rotation_triple(tree, pos)
-            triples.append(triple)
-            if is_cyclic_triple(*(ot.tree for ot in triple.trees)) is None:
-                bad.append({"check": "pattern", "tree": tree.render(), "node": pos,
-                            "triple": [ot.tree.render() for ot in triple.trees]})
-            for ot in triple.trees:
-                stacks.append(_incidence_stack(_membership(ot.ordering, g), kk))
-        dets = det_batch(np.concatenate(stacks)).reshape(len(chunk), 3, len(kk))
-        sums = dets.sum(axis=1)
-        for idx in np.nonzero(sums.any(axis=1))[0]:
-            tree, pos = chunk[idx]
-            k_idx = int(np.nonzero(sums[idx])[0][0])
-            bad.append({"check": "determinant-sum", "tree": tree.render(),
-                        "node": pos,
-                        "triple": [ot.tree.render() for ot in triples[idx].trees],
-                        "k": list(k_sequences(g)[k_idx]),
-                        "dets": [int(x) for x in dets[idx, :, k_idx]]})
+        if is_cyclic_triple(*trees) is None:
+            bad.append(witness("pattern"))
+        coords = [_coordinates(ot.tree, ot.ordering) for ot in triple.trees]
+        failing = [k for k in sorted(coords[0].keys() | coords[1].keys() | coords[2].keys())
+                   if sum(c.get(k, 0) for c in coords)]
+        if failing:
+            bad.append({**witness("determinant-sum"), "k": list(failing[0]),
+                        "dets": [c.get(failing[0], 0) for c in coords]})
         return bad
 
-    failures = [f for sub in _map_cases(check_chunk, chunks, threads) for f in sub]
+    failures = [f for sub in _map_cases(check_case, cases, threads) for f in sub]
     failures.sort(key=lambda f: (f["check"], f["tree"], f["node"]))
     return SuiteReport("relations", g, len(cases), failures,
                        int((time.perf_counter() - start) * 1000))
+
+
+def _check_sample(sample: int) -> None:
+    if sample < 1:
+        raise DomainError(f"sample must be at least 1, got {sample}")
 
 
 def _sample_indices(size: int, sample: int, seed: int) -> list[int]:
@@ -238,6 +214,7 @@ def verify_arnold(n: int, sample: int = 1000, seed: int = 0) -> SuiteReport:
     relation instances straightening to zero, and seeded confluence samples."""
     if not 2 <= n <= 6:
         raise DomainError(f"strand count {n} outside supported range 2..6")
+    _check_sample(sample)
     start = time.perf_counter()
     failures = []
 
@@ -269,7 +246,7 @@ def verify_arnold(n: int, sample: int = 1000, seed: int = 0) -> SuiteReport:
         chosen = rng.sample(gens, p)
         perm = list(range(p))
         rng.shuffle(perm)
-        sign = _perm_sign(perm)
+        sign = perm_sign_of(perm)
         lhs = straighten(n, [w(*chosen[i]) for i in perm])
         rhs = straighten(n, [w(*f) for f in chosen]).scale(sign)
         if lhs != rhs:
@@ -279,15 +256,6 @@ def verify_arnold(n: int, sample: int = 1000, seed: int = 0) -> SuiteReport:
     cases = (n + 1) + len(triples) + sample
     return SuiteReport("arnold", n, cases, failures,
                        int((time.perf_counter() - start) * 1000))
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
 
 
 SUITES: dict[str, Callable[..., SuiteReport]] = {

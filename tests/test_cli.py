@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from braidcycles.decomposition import CycleDecomposition
 from braidcycles.verification import SuiteReport
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -168,6 +170,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["cases"] == 50
 
+    @pytest.mark.parametrize("suite, param, sample", [
+        ("relations", "6", "0"), ("relations", "6", "-3"),
+        ("arnold", "4", "0"), ("arnold", "4", "-3"),
+    ])
+    def test_sample_below_one_exits_1(self, run, suite, param, sample):
+        code, out, err = run("verify", "--suite", suite, "--g", param, "--sample", sample)
+        assert code == 1
+        assert out == ""
+        assert "sample must be at least 1" in err
+
     def test_seeded_json_stable_modulo_millis(self, run):
         argv = ("verify", "--suite", "relations", "--g", "6",
                 "--sample", "40", "--seed", "9", "--format", "json")
@@ -220,3 +232,21 @@ def test_module_invocation_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "-1\n"
+
+
+def test_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from braidcycles import decompose, parse_tree\n"
+        "from braidcycles.cli import main\n"
+        "assert decompose(parse_tree('((1,2),3)')).as_dict() == {(1, 1): -1, (1, 2): -1}\n"
+        "sys.exit(main(['verify', '--suite', 'relations', '--g', '5']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("relations param=5 ")
+    assert proc.stdout.rstrip().endswith("PASS")

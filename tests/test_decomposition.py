@@ -1,18 +1,19 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcycles.arnold import CohomologyClass, straighten, w, w_basis_index
 from braidcycles.decomposition import (
     CycleDecomposition,
+    _coordinates,
     balanced_tree_to_k,
     build_balanced_tree,
     construction_ordering,
     decompose,
     det,
-    det_batch,
     duality_table,
     epsilon,
     incidence_matrix,
@@ -25,7 +26,16 @@ from braidcycles.decomposition import (
     validate_k,
 )
 from braidcycles.errors import DomainError
-from braidcycles.trees import descendant_sets, enumerate_balanced, enumerate_trees, is_balanced, parse_tree
+from braidcycles.trees import (
+    Tree,
+    _insert_leaf,
+    _node_count,
+    descendant_sets,
+    enumerate_balanced,
+    enumerate_trees,
+    is_balanced,
+    parse_tree,
+)
 
 
 def det_by_permutation_expansion(matrix):
@@ -177,15 +187,48 @@ class TestDet:
                 m = incidence_matrix(k, t)
                 assert det(m) == det_by_permutation_expansion(m)
 
-    def test_batch_matches_scalar(self):
-        rng = random.Random(3)
-        mats = [[[rng.randint(0, 1) for _ in range(5)] for _ in range(5)] for _ in range(300)]
-        got = det_batch(np.array(mats))
-        assert [int(x) for x in got] == [det(m) for m in mats]
 
-    def test_batch_shape_check(self):
-        with pytest.raises(DomainError):
-            det_batch(np.zeros((3, 2, 4), dtype=np.int64))
+@st.composite
+def trees(draw, max_genus=8):
+    """A tree of genus 3..max_genus, built by attaching leaves 3, 4, ... at
+    drawn preorder nodes."""
+    g = draw(st.integers(3, max_genus))
+    node = (1, 2)
+    for label in range(3, g):
+        node = _insert_leaf(node, draw(st.integers(0, _node_count(node) - 1)), label)[0]
+    return Tree.from_node(node)
+
+
+@st.composite
+def tree_and_k(draw, max_genus=8):
+    t = draw(trees(max_genus))
+    k = tuple(draw(st.integers(1, i)) for i in range(1, t.genus - 1))
+    return t, k
+
+
+class TestCoordinateKernel:
+    """The LCA sign kernel against the permutation-expansion determinant."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_coordinate_vs_oracle(self, data):
+        t, k = data.draw(tree_and_k())
+        ordering = data.draw(st.none() | st.permutations(descendant_sets(t)))
+        expected = det_by_permutation_expansion(incidence_matrix(k, t, ordering=ordering))
+        assert _coordinates(t, ordering).get(k, 0) == expected
+        assert _coordinates(t, ordering, k=k) == ({k: expected} if expected else {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_support_vs_oracle(self, data):
+        # every k up to genus 6; above it, every k the kernel reports
+        t = data.draw(trees())
+        ordering = data.draw(st.none() | st.permutations(descendant_sets(t)))
+        coords = _coordinates(t, ordering)
+        for k in k_sequences(t.genus) if t.genus <= 6 else list(coords):
+            expected = det_by_permutation_expansion(incidence_matrix(k, t, ordering=ordering))
+            assert coords.get(k, 0) == expected
+        assert set(coords.values()) <= {-1, 1}
 
 
 class TestPair:

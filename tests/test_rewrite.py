@@ -1,5 +1,7 @@
 import pytest
 
+import braidcycles.decomposition as decomposition
+import braidcycles.rewrite as rewrite_module
 from braidcycles.decomposition import (
     decompose,
     det,
@@ -154,6 +156,20 @@ class TestReduce:
     def test_cross_path_equality(self, g):
         for t in enumerate_trees(g):
             assert reduce_to_balanced(t).to_decomposition() == decompose(t)
+
+    def test_independent_of_coordinate_kernel(self, monkeypatch):
+        trees = enumerate_trees(6)
+        expected = [decompose(t) for t in trees]
+
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("the rewriting route called the coordinate kernel")
+
+        monkeypatch.setattr(decomposition, "_coordinates", kernel_called)
+        # an empty shared memo, so that every rotation is made again here
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
+        assert not hasattr(rewrite_module, "_coordinates")
+        for t, want in zip(trees, expected):
+            assert reduce_to_balanced(t).to_decomposition() == want
 
     def test_trace_records_rotations(self):
         events = []

@@ -1,17 +1,13 @@
 import json
 
-import numpy as np
 import pytest
 
 import braidcycles.verification as verification
-from braidcycles.decomposition import incidence_matrix, k_sequences
+from braidcycles.decomposition import det, incidence_matrix, k_sequences
 from braidcycles.errors import DomainError
-from braidcycles.trees import descendant_sets, enumerate_trees
+from braidcycles.trees import enumerate_trees
 from braidcycles.verification import (
     SuiteReport,
-    _incidence_stack,
-    _k_array,
-    _membership,
     relation_cases,
     verify_arnold,
     verify_counts,
@@ -76,17 +72,26 @@ class TestRelations:
         b.pop("millis")
         assert a == b
 
+    @pytest.mark.parametrize("sample", (0, -3))
+    def test_sample_below_one_rejected(self, sample):
+        with pytest.raises(DomainError, match="sample"):
+            verify_relations(6, sample=sample)
+
     def test_failure_witness_shape(self, monkeypatch):
-        # force wrong determinants to exercise the reporting path
+        # force wrong determinants to exercise the reporting path: every tree
+        # gets coordinate 1 at the sequences ending in their largest value
         monkeypatch.setattr(
-            verification, "det_batch",
-            lambda mats: np.ones(np.asarray(mats).shape[0], dtype=np.int64))
+            verification, "_coordinates",
+            lambda tree, ordering=None: {k: 1 for k in k_sequences(tree.genus)
+                                         if k[-1] == len(k)})
         report = verify_relations(4)
         assert not report.passed
         witness = report.failures[0]
         assert set(witness) == {"check", "tree", "node", "triple", "k", "dets"}
         assert witness["check"] == "determinant-sum"
         assert len(witness["triple"]) == 3
+        assert witness["k"] == [1, 2]  # the first failing k in lexicographic order
+        assert witness["dets"] == [1, 1, 1]
         trees = [f["tree"] for f in report.failures]
         assert trees == sorted(trees)
         json.dumps(report.to_json())  # witnesses stay serializable
@@ -113,6 +118,11 @@ class TestArnold:
         report = verify_arnold(n, sample=200)
         assert report.passed
 
+    @pytest.mark.parametrize("sample", (0, -3))
+    def test_sample_below_one_rejected(self, sample):
+        with pytest.raises(DomainError, match="sample"):
+            verify_arnold(4, sample=sample)
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             verify_arnold(7)
@@ -128,18 +138,16 @@ class TestArnold:
 
 
 class TestVectorizedIncidence:
-    """The numpy fast path must agree with the scalar incidence matrices."""
+    """The sign kernel the verifiers call must agree with the scalar
+    incidence-matrix determinants, exhaustively over every tree and k."""
 
     @pytest.mark.parametrize("g", (3, 4, 5))
     def test_stack_matches_scalar(self, g):
-        kk = _k_array(g)
         for t in enumerate_trees(g):
-            mem = _membership(descendant_sets(t), g)
-            stack = _incidence_stack(mem, kk)
-            for idx, k in enumerate(k_sequences(g)):
-                expected = incidence_matrix(k, t)
-                assert [[int(x) for x in row] for row in stack[idx]] == \
-                    [list(row) for row in expected]
+            coords = verification._coordinates(t)
+            for k in k_sequences(g):
+                assert coords.get(k, 0) == det(incidence_matrix(k, t))
+            assert set(coords.values()) <= {-1, 1}
 
 
 class TestReport:
