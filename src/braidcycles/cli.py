@@ -42,7 +42,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled verification (default: 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for verification suites (default: 1)")
+                        help="accepted for compatibility (>= 1); suites run serially, "
+                             "so it changes neither results nor speed (default: 1)")
 
     parser = _Parser(prog="braidcycles",
                      description="Tree-indexed cycles: enumeration, pairing, "

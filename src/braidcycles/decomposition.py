@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k
 from .errors import DomainError
-from .trees import Tree, descendant_sets, is_balanced
+from .trees import Tree, _pair, descendant_sets, is_balanced
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -67,11 +67,11 @@ def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...], int]:
     created: list[frozenset[int]] = []
     for i in range(m, 0, -1):
         a, b = k[i - 1], i + 1
-        node_of[a] = (node_of[a], node_of[b])
+        node_of[a] = _pair(node_of[a], node_of[b])
         set_of[a] = set_of[a] | set_of[b]
         created.append(set_of[a])
         del node_of[b], set_of[b]
-    tree = Tree.from_node(node_of[1])
+    tree = Tree._trusted(node_of[1], m + 2)
     ordering = tuple(reversed(created))
     return tree, ordering, parity_between(descendant_sets(tree), ordering)
 

@@ -11,3 +11,7 @@ class TreeError(DomainError):
 
 class AlgebraError(DomainError):
     """Invalid generator, monomial, or expression for the cohomology ring."""
+
+
+class RewriteBudgetError(DomainError, RuntimeError):
+    """Cyclic-triple rewriting exceeded its rotation budget."""

@@ -28,8 +28,9 @@ from .decomposition import (
     k_sequences,
     parity_between,
 )
-from .errors import DomainError
-from .trees import Node, Tree, balance_report, descendant_sets, is_balanced, node_depths, _leaf_labels
+from .errors import DomainError, RewriteBudgetError
+from .trees import (Node, Tree, balance_report, descendant_sets, is_balanced, node_depths,
+                    _leaf_labels, _pair)
 
 TraceHook = Callable[[dict], None]
 
@@ -109,11 +110,6 @@ def is_cyclic_triple(t1: Tree, t2: Tree, t3: Tree) -> CyclicTriple | None:
     return CyclicTriple(trees=aligned, blocks=(b1, b2, b3), s=s, t=ord1.index(union) + 1)
 
 
-def _subtree_sort_key(node: Node) -> tuple[int, tuple[int, ...]]:
-    labels = tuple(sorted(_leaf_labels(node)))
-    return (-len(labels), labels)
-
-
 def _smalls_child(children: tuple[Node, Node], lo: int, second: int) -> tuple[Node, Node] | None:
     """(child holding both labels, other child), or None when they are split."""
     for this, other in (children, children[::-1]):
@@ -128,26 +124,17 @@ def _pick_v1(children: tuple[Node, Node], lo: int, second: int) -> tuple[Node, N
 
     Prefers the child holding both of the node's two smallest labels (which
     is then automatically internal); otherwise the canonically first internal
-    child.  Applying the same preference again inside v1 (see _pick_u1) is
-    what makes re-rotating the first output recover the input tree.
+    child.  Applying the same preference again inside v1 (where the
+    canonical-first fallback may be a leaf) is what makes re-rotating the
+    first output recover the input tree.
     """
     picked = _smalls_child(children, lo, second)
     if picked is not None:
         return picked
-    for this in sorted(children, key=_subtree_sort_key):
+    for this, other in (children, children[::-1]):
         if not isinstance(this, int):
-            other = children[1] if this is children[0] else children[0]
             return this, other
     raise DomainError("node has two leaf children; no rotation is available")
-
-
-def _pick_u1(children: tuple[Node, Node], lo: int, second: int) -> tuple[Node, Node]:
-    """Role assignment inside v1; the canonical-first fallback may be a leaf."""
-    picked = _smalls_child(children, lo, second)
-    if picked is not None:
-        return picked
-    a, b = sorted(children, key=_subtree_sort_key)
-    return a, b
 
 
 def _rotation_parts(t: Tree, v: int) -> tuple[frozenset[int], frozenset[int], Node, Node, Node]:
@@ -168,7 +155,7 @@ def _rotation_parts(t: Tree, v: int) -> tuple[frozenset[int], frozenset[int], No
     lo, second = sorted(target)[:2]
     v1, v2 = _pick_v1((vnode[0], vnode[1]), lo, second)
     s1, s2 = sorted(_leaf_labels(v1))[:2]
-    u1, u2 = _pick_u1((v1[0], v1[1]), s1, s2)
+    u1, u2 = _smalls_child(v1, s1, s2) or v1
     return target, _leaf_labels(v1), u1, u2, v2
 
 
@@ -187,10 +174,7 @@ def rotate(t: Tree, v: int) -> tuple[Tree, Tree]:
     T'' carrying (v2 u2) u1.  Together with T they form a cyclic triple.
     Fails if both children of v are leaves.
     """
-    v_set, _, u1, u2, v2 = _rotation_parts(t, v)
-    prime = Tree.from_node(_replace(t.root, v_set, ((u1, v2), u2)))
-    double = Tree.from_node(_replace(t.root, v_set, ((v2, u2), u1)))
-    return prime, double
+    return tuple(ot.tree for ot in rotation_triple(t, v).trees[1:])
 
 
 def rotation_triple(t: Tree, v: int) -> CyclicTriple:
@@ -201,16 +185,15 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
     v_set, v1_set, u1, u2, v2 = _rotation_parts(t, v)
     ord0 = descendant_sets(t)
     s = ord0.index(v1_set) + 1
-    blocks = (_leaf_labels(v2), _leaf_labels(u2), _leaf_labels(u1))
-    entries = []
-    for replacement, changed in (
-        (None, v1_set),
-        (((u1, v2), u2), _leaf_labels(u1) | _leaf_labels(v2)),
-        (((v2, u2), u1), _leaf_labels(v2) | _leaf_labels(u2)),
-    ):
-        tree = t if replacement is None else Tree.from_node(_replace(t.root, v_set, replacement))
-        entries.append(OrderedTree(tree=tree, ordering=ord0[:s - 1] + (changed,) + ord0[s:]))
-    return CyclicTriple(trees=tuple(entries), blocks=blocks, s=s, t=v)
+    b1, b2, b3 = blocks = (_leaf_labels(v2), _leaf_labels(u2), _leaf_labels(u1))
+    entries = tuple(
+        OrderedTree(tree=tree, ordering=ord0[:s - 1] + (changed,) + ord0[s:])
+        for tree, changed in (
+            (t, v1_set),
+            (Tree._trusted(_replace(t.root, v_set, _pair(_pair(u1, v2), u2)), t.genus), b3 | b1),
+            (Tree._trusted(_replace(t.root, v_set, _pair(_pair(v2, u2), u1)), t.genus), b1 | b2),
+        ))
+    return CyclicTriple(trees=entries, blocks=blocks, s=s, t=v)
 
 
 def find_unbalanced(t: Tree) -> int | None:
@@ -270,6 +253,9 @@ class SignedTreeSum:
 _SHARED_MEMO: dict[Tree, dict[Tree, int]] = {}
 _SHARED_MEMO_CAP = 1 << 15
 
+# Without a step_limit, reduce_to_balanced allows _BUDGET_BASE ** genus rotations.
+_BUDGET_BASE = 3
+
 
 def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
                        step_limit: int | None = None) -> SignedTreeSum:
@@ -280,12 +266,12 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     with coefficient -1, their inherited orderings folded into the sign.
     Each rotation is reported to `trace` when given (which also disables
     memoization, so the trace covers the whole recursion tree).  The step
-    ceiling of 3^g is a circuit breaker only; the height measure already
-    guarantees termination.  Reductions are memoized across calls, except
-    under an explicit `step_limit`, which then counts every rotation of this
-    tree's reduction.
+    ceiling of 3^g is a circuit breaker only (it raises RewriteBudgetError);
+    the height measure already guarantees termination.  Reductions are
+    memoized across calls, except under an explicit `step_limit`, which then
+    counts every rotation of this tree's reduction.
     """
-    limit = 3 ** t.genus if step_limit is None else step_limit
+    limit = _BUDGET_BASE ** t.genus if step_limit is None else step_limit
     steps = 0
     memo = _SHARED_MEMO if step_limit is None else {}
 
@@ -301,7 +287,7 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
         else:
             steps += 1
             if steps > limit:
-                raise RuntimeError(f"rotation budget {limit} exceeded; rewriting diverged")
+                raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
             triple = rotation_triple(tree, v)
             if trace is not None:
                 trace({"at": triple.s,

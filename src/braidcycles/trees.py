@@ -4,14 +4,17 @@ A tree of genus g is stored as a rooted full binary tree whose leaves carry
 the labels 1..g-1 exactly once (the marked root leaf g of the trivalent
 picture is erased; the vertex next to it becomes the binary root).  Trees are
 kept in canonical form: at every internal node the children are ordered by
-descendant leaf set, larger set first, ties broken lexicographically on the
-sorted element lists.  The same key orders the internal nodes themselves;
-position 1 of the canonical node ordering is always the root.
+descendant leaf set, larger set first, ties broken by the smallest element.
+The same key orders the internal nodes themselves; position 1 of the
+canonical node ordering is always the root.  The sets compared are always
+disjoint (a laminar family), so the key agrees with a lexicographic
+tie-break on the sorted element lists.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -20,6 +23,10 @@ from .errors import TreeError
 # A node is either a leaf label or a pair of child nodes.
 Node = Union[int, tuple]
 
+# parse_tree refuses deeper nesting before any recursion starts; a tree of
+# genus g nests at most g-2 deep, far below this for any genus in reach.
+MAX_DEPTH = 100
+
 
 def _leaf_labels(node: Node) -> frozenset[int]:
     if isinstance(node, int):
@@ -27,20 +34,30 @@ def _leaf_labels(node: Node) -> frozenset[int]:
     return _leaf_labels(node[0]) | _leaf_labels(node[1])
 
 
-def _set_sort_key(s: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    elems = tuple(sorted(s))
-    return (-len(elems), elems)
+def _set_sort_key(s: frozenset[int] | set[int]) -> tuple[int, int]:
+    """Canonical key of a descendant set: size descending, then smallest label."""
+    return (-len(s), min(s))
 
 
-def _canonicalize(node: Node) -> tuple[Node, tuple[int, ...]]:
-    """Return (canonical node, sorted leaf labels)."""
+def _pair(a: Node, b: Node) -> Node:
+    """The canonical node over two canonical subtrees with disjoint labels."""
+    return (a, b) if _set_sort_key(_leaf_labels(a)) <= _set_sort_key(_leaf_labels(b)) else (b, a)
+
+
+def _canonicalize(node: Node) -> tuple[Node, int, int]:
+    """Return (canonical node, leaf count, smallest leaf)."""
     if isinstance(node, int):
-        return node, (node,)
-    a, la = _canonicalize(node[0])
-    b, lb = _canonicalize(node[1])
-    if _set_sort_key(la) > _set_sort_key(lb):
+        return node, 1, node
+    a, na, la = _canonicalize(node[0])
+    b, nb, lb = _canonicalize(node[1])
+    key_a, key_b = (-na, la), (-nb, lb)
+    if key_a == key_b:
+        # only when a label repeats: comparing the sorted leaves keeps the
+        # duplicate that validation reports the same as a full-list key would
+        key_a, key_b = sorted(_iter_leaves(a)), sorted(_iter_leaves(b))
+    if key_a > key_b:
         a, b = b, a
-    return (a, b), tuple(sorted(la + lb))
+    return (a, b), na + nb, min(la, lb)
 
 
 def _render(node: Node) -> str:
@@ -69,8 +86,16 @@ class Tree:
     @classmethod
     def from_node(cls, node: Node) -> Tree:
         """Build a canonical Tree from a nested node structure."""
-        canonical, labels = _canonicalize(node)
-        return cls(root=canonical, genus=len(labels) + 1)
+        canonical, size, _ = _canonicalize(node)
+        return cls(root=canonical, genus=size + 1)
+
+    @classmethod
+    def _trusted(cls, root: Node, genus: int) -> Tree:
+        """A Tree over a root that is canonical by construction; no checks."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "root", root)
+        object.__setattr__(tree, "genus", genus)
+        return tree
 
     @classmethod
     def from_string(cls, text: str) -> Tree:
@@ -113,10 +138,14 @@ def parse_tree(text: str) -> Tree:
     """Parse `TREE := LEAF | "(" TREE "," TREE ")"` into a canonical Tree.
 
     Whitespace is ignored and the child order of the input is irrelevant.
-    Raises TreeError on malformed syntax, duplicate labels, labels that are
-    not exactly 1..n, or fewer than two leaves.
+    Raises TreeError on malformed syntax, nesting deeper than MAX_DEPTH,
+    duplicate labels, labels that are not exactly 1..n, or fewer than two
+    leaves.
     """
     s = "".join(text.split())
+    depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
+    if s.count("(") > MAX_DEPTH and max(depths) > MAX_DEPTH:
+        raise TreeError(f"tree nested deeper than {MAX_DEPTH} levels")
     pos = 0
 
     def parse_node() -> Node:
@@ -172,8 +201,8 @@ def render_tree(t: Tree) -> str:
 def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     """Descendant leaf sets of the internal nodes, in canonical ordering.
 
-    Ordering: size descending, ties broken lexicographically on the sorted
-    element lists.  The first entry is always the full set {1..g-1}.
+    Ordering: size descending, ties broken by the smallest element.  The
+    first entry is always the full set {1..g-1}.
     """
     sets: list[frozenset[int]] = []
 
@@ -191,18 +220,10 @@ def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
 
 @functools.lru_cache(maxsize=None)
 def node_depths(t: Tree) -> tuple[int, ...]:
-    """Depth (edge distance from the root) per canonical node position."""
-    depth_of: dict[frozenset[int], int] = {}
-
-    def walk(node: Node, depth: int) -> frozenset[int]:
-        if isinstance(node, int):
-            return frozenset((node,))
-        leaves = walk(node[0], depth + 1) | walk(node[1], depth + 1)
-        depth_of[leaves] = depth
-        return leaves
-
-    walk(t.root, 0)
-    return tuple(depth_of[s] for s in descendant_sets(t))
+    """Depth (edge distance from the root) per canonical node position: the
+    number of node sets strictly containing the node's set."""
+    sets = descendant_sets(t)
+    return tuple(sum(s < other for other in sets) for s in sets)
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,22 +231,11 @@ def balance_report(t: Tree) -> tuple[bool, ...]:
     """Per-node balance flags, indexed by canonical node position.
 
     A node is balanced when its two smallest descendant leaf labels lie in
-    different child subtrees.
+    different child subtrees, that is, when no smaller node holds both.
     """
-    flag_of: dict[frozenset[int], bool] = {}
-
-    def walk(node: Node) -> frozenset[int]:
-        if isinstance(node, int):
-            return frozenset((node,))
-        left = walk(node[0])
-        right = walk(node[1])
-        leaves = left | right
-        lo, second = sorted(leaves)[:2]
-        flag_of[leaves] = (lo in left) != (second in left)
-        return leaves
-
-    walk(t.root)
-    return tuple(flag_of[s] for s in descendant_sets(t))
+    sets = descendant_sets(t)
+    smallest = [frozenset(sorted(s)[:2]) for s in sets]
+    return tuple(not any(pair <= other < s for other in sets) for s, pair in zip(sets, smallest))
 
 
 def is_balanced(t: Tree) -> bool:
@@ -240,45 +250,51 @@ def enumerate_trees(g: int) -> list[Tree]:
     leaves 1..m arises uniquely by attaching leaf m at one of the 2m-3 nodes
     of a tree on leaves 1..m-1.
     """
-    if g < 3:
-        raise TreeError(f"genus must be at least 3, got {g}")
-    n = g - 1
-    shapes: list[Node] = [(1, 2)]
-    for m in range(3, n + 1):
-        grown: list[Node] = []
-        for shape in shapes:
-            for pos in range(_node_count(shape)):
-                grown.append(_canonicalize(_insert_leaf(shape, pos, m)[0])[0])
-        shapes = grown
-    trees = [Tree.from_node(shape) for shape in shapes]
-    trees.sort(key=Tree.render)
-    return trees
-
-
-def _node_count(node: Node) -> int:
-    if isinstance(node, int):
-        return 1
-    return 1 + _node_count(node[0]) + _node_count(node[1])
-
-
-def _insert_leaf(node: Node, pos: int, label: int) -> tuple[Node, int]:
-    """Attach `label` at preorder node `pos` (pairing it with that subtree)."""
-    if pos == 0:
-        return (node, label), -1
-    if isinstance(node, int):
-        return node, pos - 1
-    left, pos = _insert_leaf(node[0], pos - 1, label)
-    if pos < 0:
-        return (left, node[1]), -1
-    right, pos = _insert_leaf(node[1], pos, label)
-    if pos < 0:
-        return (node[0], right), -1
-    return node, pos
+    return _enumerate(g, leaves_only=False)
 
 
 def enumerate_balanced(g: int) -> list[Tree]:
-    """The (g-2)! balanced trees of genus g, same order as enumerate_trees."""
-    return [t for t in enumerate_trees(g) if is_balanced(t)]
+    """The (g-2)! balanced trees of genus g, same order as enumerate_trees.
+
+    Built by attaching leaf m next to a leaf only.  Paired with an internal
+    node, the largest label m would leave that node's two smallest labels in
+    one child; paired with a leaf, it changes no ancestor's two smallest
+    labels.  So a tree is balanced iff it grows this way from a balanced one.
+    """
+    return _enumerate(g, leaves_only=True)
+
+
+def _enumerate(g: int, leaves_only: bool) -> list[Tree]:
+    if g < 3:
+        raise TreeError(f"genus must be at least 3, got {g}")
+    shapes: dict[str, Node] = {"(1,2)": (1, 2)}
+    for m in range(3, g):
+        shapes = {text: grown for shape in shapes.values()
+                  for grown, text in _insertions(shape, m, leaves_only)[3]}
+    return [Tree._trusted(shapes[text], g) for text in sorted(shapes)]
+
+
+def _insertions(node: Node, m: int,
+                leaves_only: bool) -> tuple[int, int, str, list[tuple[Node, str]]]:
+    """Size, smallest label and text of a canonical subtree, and each canonical
+    subtree (with its text) made by attaching leaf m at one of its nodes.
+
+    m exceeds every label, so the new node is (x, m) and each ancestor keeps
+    its smallest label; only a grown second child can overtake its sibling.
+    """
+    if isinstance(node, int):
+        text = str(node)
+        return 1, node, text, [((node, m), f"({text},{m})")]
+    na, la, ta, grown_a = _insertions(node[0], m, leaves_only)
+    nb, lb, tb, grown_b = _insertions(node[1], m, leaves_only)
+    text = f"({ta},{tb})"
+    out = [] if leaves_only else [((node, m), f"({text},{m})")]
+    out += [((a, node[1]), f"({t},{tb})") for a, t in grown_a]
+    if (-nb - 1, lb) < (-na, la):
+        out += [((b, node[0]), f"({t},{ta})") for b, t in grown_b]
+    else:
+        out += [((node[0], b), f"({ta},{t})") for b, t in grown_b]
+    return na + nb, min(la, lb), text, out
 
 
 def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
@@ -290,7 +306,8 @@ def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
     family = [frozenset(s) for s in sets]
     if not family:
         raise TreeError("empty set family")
-    family.sort(key=_set_sort_key)
+    # not yet known to be laminar, so equal sizes may share a smallest element
+    family.sort(key=lambda s: (-len(s), sorted(s)))
     full = family[0]
     if len(set(family)) != len(family):
         raise TreeError("descendant sets must be pairwise distinct")

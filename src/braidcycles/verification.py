@@ -4,7 +4,9 @@ Each suite checks one family of identities by enumeration (exhaustively at
 small genus, by seeded sampling above) and returns a SuiteReport whose
 failures, if any, carry a minimal witness replayable through the CLI.
 Sampling uses random.Random (the stdlib Mersenne Twister), so reports are
-bit-for-bit reproducible for a given (parameter, sample, seed).
+bit-for-bit reproducible for a given (parameter, sample, seed).  Cases run
+serially: every check holds the GIL, so worker threads only slowed suites
+down.  The `threads` arguments are accepted and have no effect.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Callable
 
 from .arnold import rank, straighten, w
 from .decomposition import (
@@ -29,9 +30,6 @@ from .decomposition import (
 from .errors import DomainError
 from .rewrite import is_cyclic_triple, reduce_to_balanced, rotation_triple
 from .trees import Tree, descendant_sets, enumerate_balanced, enumerate_trees
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 @dataclass
@@ -56,13 +54,6 @@ class SuiteReport:
             "failures": self.failures,
             "millis": self.millis,
         }
-
-
-def _map_cases(fn: Callable[[T], U], cases: Sequence[T], threads: int) -> list[U]:
-    if threads <= 1:
-        return [fn(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cases))
 
 
 def _double_factorial(n: int) -> int:
@@ -120,7 +111,7 @@ def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
                 break
         return bad
 
-    failures = [f for sub in _map_cases(check_column, range(len(ks)), threads) for f in sub]
+    failures = [f for col in range(len(ks)) for f in check_column(col)]
     failures.sort(key=lambda f: (f["check"], str(f.get("k"))))
     return SuiteReport("duality", g, len(ks) * len(ks) + len(ks), failures,
                        int((time.perf_counter() - start) * 1000))
@@ -172,7 +163,7 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
                         "dets": [c.get(failing[0], 0) for c in coords]})
         return bad
 
-    failures = [f for sub in _map_cases(check_case, cases, threads) for f in sub]
+    failures = [f for case in cases for f in check_case(case)]
     failures.sort(key=lambda f: (f["check"], f["tree"], f["node"]))
     return SuiteReport("relations", g, len(cases), failures,
                        int((time.perf_counter() - start) * 1000))
@@ -203,7 +194,7 @@ def verify_crosspath(g: int, threads: int = 1) -> SuiteReport:
         return [{"check": "crosspath", "tree": t.render(),
                  "determinant": via_det.to_json(), "rewrite": via_rewrite.to_json()}]
 
-    failures = [f for sub in _map_cases(check_tree, trees, threads) for f in sub]
+    failures = [f for t in trees for f in check_tree(t)]
     failures.sort(key=lambda f: f["tree"])
     return SuiteReport("crosspath", g, len(trees), failures,
                        int((time.perf_counter() - start) * 1000))

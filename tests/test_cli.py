@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from braidcycles import verification
+from braidcycles import rewrite, verification
 from braidcycles.cli import main
 from braidcycles.decomposition import CycleDecomposition
 from braidcycles.verification import SuiteReport
@@ -89,6 +89,25 @@ class TestDecompose:
         code, _, err = run("decompose", "--tree", "((1,2),3)", "--trace")
         assert code == 1
         assert "--trace" in err
+
+    def test_rewrite_budget_exits_1(self, run, monkeypatch):
+        monkeypatch.setattr(rewrite, "_BUDGET_BASE", 0)  # budget 0 ** g = 0 rotations
+        monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
+        code, out, err = run("decompose", "--tree", "((1,2),3)", "--method", "rewrite")
+        assert code == 1
+        assert out == ""
+        assert err == "error: rotation budget 0 exceeded; rewriting diverged\n"
+
+    def test_deep_tree_exits_1_without_traceback(self):
+        caterpillar = "(" * 1499 + "1" + "".join(f",{i})" for i in range(2, 1501))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidcycles", "decompose", "--tree", caterpillar],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: tree nested deeper than 100 levels\n"
 
     def test_disagreement_exits_2(self, run, monkeypatch):
         monkeypatch.setattr(

@@ -28,14 +28,13 @@ from braidcycles.decomposition import (
 from braidcycles.errors import DomainError
 from braidcycles.trees import (
     Tree,
-    _insert_leaf,
-    _node_count,
     descendant_sets,
     enumerate_balanced,
     enumerate_trees,
     is_balanced,
     parse_tree,
 )
+from tree_oracle import insert_leaf, node_count
 
 
 def det_by_permutation_expansion(matrix):
@@ -195,7 +194,7 @@ def trees(draw, max_genus=8):
     g = draw(st.integers(3, max_genus))
     node = (1, 2)
     for label in range(3, g):
-        node = _insert_leaf(node, draw(st.integers(0, _node_count(node) - 1)), label)[0]
+        node = insert_leaf(node, draw(st.integers(0, node_count(node) - 1)), label)[0]
     return Tree.from_node(node)
 
 

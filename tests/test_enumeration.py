@@ -1,0 +1,105 @@
+"""The direct canonical enumeration against the canonicalize-everything oracle."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import tree_oracle
+from braidcycles.decomposition import build_balanced_tree, k_sequences
+from braidcycles.errors import TreeError
+from braidcycles.rewrite import rotate, rotation_triple
+from braidcycles.trees import (
+    Tree,
+    descendant_sets,
+    enumerate_balanced,
+    enumerate_trees,
+    is_balanced,
+)
+
+
+def internal_nodes(node):
+    if not isinstance(node, int):
+        yield node
+        yield from internal_nodes(node[0])
+        yield from internal_nodes(node[1])
+
+
+def leaves(node):
+    return (node,) if isinstance(node, int) else leaves(node[0]) + leaves(node[1])
+
+
+def assert_validated_equal(t):
+    checked = Tree(root=t.root, genus=t.genus)  # raises unless canonical
+    assert checked == t
+    assert hash(checked) == hash(t)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_trees_equal_oracle(self, g):
+        assert enumerate_trees(g) == tree_oracle.enumerate_trees(g)
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_balanced_equal_filtered_trees(self, g):
+        assert enumerate_balanced(g) == [t for t in enumerate_trees(g) if is_balanced(t)]
+
+    @pytest.mark.parametrize("g", range(3, 8))
+    def test_node_key_matches_sorted_tuple_key(self, g):
+        for t in enumerate_trees(g):
+            sets = descendant_sets(t)
+            assert list(sets) == sorted(sets, key=tree_oracle.sorted_tuple_key)
+            for a, b in internal_nodes(t.root):
+                key_a = tree_oracle.sorted_tuple_key(leaves(a))
+                assert key_a < tree_oracle.sorted_tuple_key(leaves(b))
+
+
+class TestTrustedConstructor:
+    @pytest.mark.parametrize("g", range(3, 8))
+    def test_enumerated_trees(self, g):
+        for t in enumerate_trees(g) + enumerate_balanced(g):
+            assert_validated_equal(t)
+
+    @pytest.mark.parametrize("g", range(4, 7))
+    def test_rotations(self, g):
+        for t in enumerate_trees(g):
+            for v, s in enumerate(descendant_sets(t), start=1):
+                if len(s) < 3:
+                    continue
+                for rotated in rotate(t, v):
+                    assert_validated_equal(rotated)
+                for ot in rotation_triple(t, v).trees:
+                    assert_validated_equal(ot.tree)
+
+    @pytest.mark.parametrize("g", range(3, 8))
+    def test_construction(self, g):
+        for k in k_sequences(g):
+            assert_validated_equal(build_balanced_tree(k))
+
+
+@st.composite
+def labelled_shapes(draw):
+    """A nested pair structure with 2..7 leaves drawn from 1..4, so labels
+    may repeat."""
+    nodes = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 7)))]
+    while len(nodes) > 1:
+        i = draw(st.integers(0, len(nodes) - 2))
+        nodes[i:i + 2] = [(nodes[i], nodes[i + 1])]
+    return nodes[0]
+
+
+class TestFromNodeValidation:
+    @given(labelled_shapes())
+    @example((((1, 2), 2), ((1, 1), 3)))  # equal (size, min); the full key swaps them
+    @settings(max_examples=300)
+    def test_same_outcome_as_full_key(self, node):
+        """from_node accepts, or rejects with the same message, exactly as
+        canonicalizing under the full lexicographic key would."""
+        canonical, labels = tree_oracle.canonicalize(node)
+        try:
+            expected = Tree(root=canonical, genus=len(labels) + 1)
+        except TreeError as exc:
+            with pytest.raises(TreeError) as got:
+                Tree.from_node(node)
+            assert str(got.value) == str(exc)
+        else:
+            assert Tree.from_node(node) == expected

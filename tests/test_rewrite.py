@@ -9,7 +9,7 @@ from braidcycles.decomposition import (
     incidence_matrix,
     k_sequences,
 )
-from braidcycles.errors import DomainError
+from braidcycles.errors import DomainError, RewriteBudgetError
 from braidcycles.rewrite import (
     OrderedTree,
     SignedTreeSum,
@@ -182,6 +182,12 @@ class TestReduce:
     def test_step_limit(self):
         with pytest.raises(RuntimeError, match="budget"):
             reduce_to_balanced(parse_tree("((1,2),3)"), step_limit=0)
+
+    def test_budget_error_is_typed(self):
+        with pytest.raises(RewriteBudgetError) as info:
+            reduce_to_balanced(parse_tree("((1,2),3)"), step_limit=0)
+        assert isinstance(info.value, DomainError)
+        assert isinstance(info.value, RuntimeError)
 
     def test_json_sorted_by_tree(self):
         s = reduce_to_balanced(parse_tree("((1,2),3)"))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from braidcycles.errors import TreeError
 from braidcycles.trees import (
+    MAX_DEPTH,
     Tree,
     balance_report,
     descendant_sets,
@@ -71,6 +72,21 @@ class TestParse:
     def test_single_leaf(self):
         with pytest.raises(TreeError):
             parse_tree("1")
+
+    def test_depth_limit(self):
+        def caterpillar(leaves):
+            return "(" * (leaves - 1) + "1" + "".join(f",{i})" for i in range(2, leaves + 1))
+
+        deepest = parse_tree(caterpillar(MAX_DEPTH + 1))  # nested exactly MAX_DEPTH deep
+        assert deepest.genus == MAX_DEPTH + 2
+        with pytest.raises(TreeError, match="deeper"):
+            parse_tree(caterpillar(MAX_DEPTH + 2))
+        with pytest.raises(TreeError, match="deeper"):
+            parse_tree("(" * 100_000)  # refused before any recursion
+        wide = [str(i) for i in range(1, 3 * MAX_DEPTH)]
+        while len(wide) > 1:  # about log2 deep, with more than MAX_DEPTH pairs
+            wide = [f"({a},{b})" for a, b in zip(wide[::2], wide[1::2])] + wide[len(wide) & ~1:]
+        assert parse_tree(wide[0]).genus == 3 * MAX_DEPTH
 
     @pytest.mark.parametrize("bad", ["", "(1,2", "(1,2))", "(1 2)", "(,2)", "((1,2),x)"])
     def test_malformed(self, bad):
