@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k
 from .errors import DomainError
-from .trees import Tree, _pair, descendant_sets, is_balanced
+from .trees import Tree, _build, _set_sort_key, descendant_sets
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -61,19 +61,15 @@ def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...], int]:
     i of the construction ordering holds the node created at step i, so
     position 1 is the root and position g-2 the first-created node.
     """
-    m = len(k)
-    node_of: dict[int, object] = {lab: lab for lab in range(1, m + 2)}
-    set_of: dict[int, frozenset[int]] = {lab: frozenset((lab,)) for lab in range(1, m + 2)}
+    set_of = {lab: frozenset((lab,)) for lab in range(1, len(k) + 2)}
     created: list[frozenset[int]] = []
-    for i in range(m, 0, -1):
-        a, b = k[i - 1], i + 1
-        node_of[a] = _pair(node_of[a], node_of[b])
-        set_of[a] = set_of[a] | set_of[b]
+    for i in range(len(k), 0, -1):
+        a = k[i - 1]
+        set_of[a] = set_of[a] | set_of.pop(i + 1)
         created.append(set_of[a])
-        del node_of[b], set_of[b]
-    tree = Tree._trusted(node_of[1], m + 2)
     ordering = tuple(reversed(created))
-    return tree, ordering, parity_between(descendant_sets(tree), ordering)
+    family = tuple(sorted(created, key=_set_sort_key))
+    return _build(family), ordering, parity_between(family, ordering)
 
 
 def build_balanced_tree(k: Sequence[int]) -> Tree:
@@ -91,18 +87,19 @@ def balanced_tree_to_k(t: Tree) -> KSequence:
 
     Step i of the construction joins a cluster with minimum k_i and one with
     minimum i+1, so every node whose children have minima lo < hi gives
-    k_{hi-1} = lo.
+    k_{hi-1} = lo.  The same walk checks balance, carrying each subtree's two
+    smallest labels: the child holding lo must have no other label below hi.
     """
-    if not is_balanced(t):
-        raise DomainError(f"tree {t.render()} is not balanced")
     k = [0] * (t.genus - 2)
 
-    def walk(node) -> int:
+    def walk(node) -> tuple[int, int]:
         if isinstance(node, int):
-            return node
-        lo, hi = sorted((walk(node[0]), walk(node[1])))
+            return node, t.genus  # no second label: genus exceeds them all
+        (lo, second), (hi, _) = sorted((walk(node[0]), walk(node[1])))
+        if second < hi:
+            raise DomainError(f"tree {t.render()} is not balanced")
         k[hi - 2] = lo
-        return lo
+        return lo, hi
 
     walk(t.root)
     return tuple(k)

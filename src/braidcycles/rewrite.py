@@ -2,20 +2,21 @@
 
 Three trees form a cyclic triple when their node-set families agree except at
 one node, where the three sets are the pairwise unions of three disjoint
-blocks whose total union is a common node.  Rotating a tree at a node with an
-internal child produces the two other associations of the three hanging
-subtrees, completing such a triple; the three cycles with aligned node
-orderings sum to zero.  Rotating away a deepest unbalanced node strictly
-reduces unbalancedness, so repeated rotation terminates in a signed sum over
-balanced trees, independently of the determinant route.
+blocks whose total union is a common node.  Rotating at a node v, with
+children v1 = (u1, u2) and v2, replaces the one set v1 by u1|v2 or by v2|u2:
+the two other associations, and the three cycles with aligned node orderings
+sum to zero.  Rotating away a deepest unbalanced node strictly reduces
+unbalancedness, so repeated rotation ends in a signed sum over balanced
+trees, independently of the determinant route.  The engine rotates canonical
+families (see descendant_sets) and builds Trees only for what it returns.
 
-Orderings are tracked across rotations by descendant set: the rotated node
-keeps its position while its set changes, and every other node keeps both.
-Signs are meaningless without this alignment.
+Orderings are tracked by descendant set: the rotated node keeps its position
+while its set changes.  Signs are meaningless without this alignment.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,10 +30,12 @@ from .decomposition import (
     parity_between,
 )
 from .errors import DomainError, RewriteBudgetError
-from .trees import (Node, Tree, balance_report, descendant_sets, is_balanced, node_depths,
-                    _leaf_labels, _pair)
+from .trees import (_CACHE_CAP, Tree, _build, _node_report, _set_sort_key, descendant_sets,
+                    is_balanced)
 
 TraceHook = Callable[[dict], None]
+# A tree's canonical node-set family, as descendant_sets returns it.
+Family = tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -110,61 +113,37 @@ def is_cyclic_triple(t1: Tree, t2: Tree, t3: Tree) -> CyclicTriple | None:
     return CyclicTriple(trees=aligned, blocks=(b1, b2, b3), s=s, t=ord1.index(union) + 1)
 
 
-def _smalls_child(children: tuple[Node, Node], lo: int, second: int) -> tuple[Node, Node] | None:
-    """(child holding both labels, other child), or None when they are split."""
-    for this, other in (children, children[::-1]):
-        labels = _leaf_labels(this)
-        if lo in labels and second in labels:
-            return this, other
-    return None
+def _children(sets: Family, i: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The two child sets of node i, a leaf as a singleton: first the child
+    holding both of the node's two smallest labels, if one does, otherwise
+    canonical order.  The first later set inside a node is one of its children."""
+    s, (lo, second) = sets[i], sorted(sets[i])[:2]
+    first = next((c for c in sets[i + 1:] if c < s), frozenset((lo,)))
+    other = s - first
+    return (other, first) if lo in other and second in other else (first, other)
 
 
-def _pick_v1(children: tuple[Node, Node], lo: int, second: int) -> tuple[Node, Node]:
-    """Child of the rotation node whose subtrees get re-associated.
-
-    Prefers the child holding both of the node's two smallest labels (which
-    is then automatically internal); otherwise the canonically first internal
-    child.  Applying the same preference again inside v1 (where the
-    canonical-first fallback may be a leaf) is what makes re-rotating the
-    first output recover the input tree.
-    """
-    picked = _smalls_child(children, lo, second)
-    if picked is not None:
-        return picked
-    for this, other in (children, children[::-1]):
-        if not isinstance(this, int):
-            return this, other
-    raise DomainError("node has two leaf children; no rotation is available")
-
-
-def _rotation_parts(t: Tree, v: int) -> tuple[frozenset[int], frozenset[int], Node, Node, Node]:
-    """Locate node v and return (set at v, set at v1, u1, u2, v2)."""
-    sets = descendant_sets(t)
+def _rotation(sets: Family, v: int) -> tuple[int, frozenset[int], frozenset[int], frozenset[int]]:
+    """Index of v1 in `sets`, and u1, u2, v2: v has children (v1, v2) and v1,
+    which must be internal, has children (u1, u2), both as _children orders
+    them.  Applying the same preference inside v1 is what makes re-rotating
+    the first output recover the input tree."""
     if not (1 <= v <= len(sets)):
         raise DomainError(f"node index {v} out of range 1..{len(sets)}")
-    target = sets[v - 1]
-
-    def find(node: Node) -> Node | None:
-        if isinstance(node, int):
-            return None
-        if _leaf_labels(node) == target:
-            return node
-        return find(node[0]) or find(node[1])
-
-    vnode = find(t.root)
-    lo, second = sorted(target)[:2]
-    v1, v2 = _pick_v1((vnode[0], vnode[1]), lo, second)
-    s1, s2 = sorted(_leaf_labels(v1))[:2]
-    u1, u2 = _smalls_child(v1, s1, s2) or v1
-    return target, _leaf_labels(v1), u1, u2, v2
+    v1, v2 = _children(sets, v - 1)
+    if len(v1) < 2:
+        raise DomainError("node has two leaf children; no rotation is available")
+    i = sets.index(v1, v)
+    return (i, *_children(sets, i), v2)
 
 
-def _replace(node: Node, old: frozenset[int], new: Node) -> Node:
-    if isinstance(node, int):
-        return node
-    if _leaf_labels(node) == old:
-        return new
-    return (_replace(node[0], old, new), _replace(node[1], old, new))
+def _replaced(sets: Family, i: int, new: frozenset[int]) -> tuple[Family, int]:
+    """The canonical family with sets[i] replaced by `new`, and the sign of
+    the permutation from that aligned ordering to the canonical one: `new`
+    moves from index i to index p, a cycle of length |p - i| + 1."""
+    rest = sets[:i] + sets[i + 1:]
+    p = bisect.bisect(rest, _set_sort_key(new), key=_set_sort_key)
+    return rest[:p] + (new,) + rest[p:], -1 if (p - i) % 2 else 1
 
 
 def rotate(t: Tree, v: int) -> tuple[Tree, Tree]:
@@ -182,32 +161,25 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
 
     The rotated node keeps its position; only its descendant set changes.
     """
-    v_set, v1_set, u1, u2, v2 = _rotation_parts(t, v)
-    ord0 = descendant_sets(t)
-    s = ord0.index(v1_set) + 1
-    b1, b2, b3 = blocks = (_leaf_labels(v2), _leaf_labels(u2), _leaf_labels(u1))
+    sets = descendant_sets(t)
+    i, u1, u2, v2 = _rotation(sets, v)
     entries = tuple(
-        OrderedTree(tree=tree, ordering=ord0[:s - 1] + (changed,) + ord0[s:])
-        for tree, changed in (
-            (t, v1_set),
-            (Tree._trusted(_replace(t.root, v_set, _pair(_pair(u1, v2), u2)), t.genus), b3 | b1),
-            (Tree._trusted(_replace(t.root, v_set, _pair(_pair(v2, u2), u1)), t.genus), b1 | b2),
-        ))
-    return CyclicTriple(trees=entries, blocks=blocks, s=s, t=v)
+        OrderedTree(tree=tree, ordering=sets[:i] + (changed,) + sets[i + 1:])
+        for tree, changed in ((t, sets[i]),
+                              (_build(_replaced(sets, i, u1 | v2)[0]), u1 | v2),
+                              (_build(_replaced(sets, i, v2 | u2)[0]), v2 | u2)))
+    return CyclicTriple(trees=entries, blocks=(v2, u2, u1), s=i + 1, t=v)
+
+
+def _deepest_unbalanced(sets: Family) -> int | None:
+    unbalanced = [(-depth, pos) for pos, (depth, ok) in enumerate(_node_report(sets), 1) if not ok]
+    return min(unbalanced)[1] if unbalanced else None
 
 
 def find_unbalanced(t: Tree) -> int | None:
     """Canonical position of a deepest unbalanced node (smallest position on
     ties), or None when the tree is balanced."""
-    report = balance_report(t)
-    depths = node_depths(t)
-    best = None
-    for pos, (ok, depth) in enumerate(zip(report, depths), start=1):
-        if ok:
-            continue
-        if best is None or depth > depths[best - 1]:
-            best = pos
-    return best
+    return _deepest_unbalanced(descendant_sets(t))
 
 
 @dataclass(frozen=True)
@@ -222,6 +194,11 @@ class SignedTreeSum:
         for tree in coeffs:
             if not is_balanced(tree):
                 raise DomainError(f"term {tree.render()} is not balanced")
+        return cls._sorted(g, coeffs)
+
+    @classmethod
+    def _sorted(cls, g: int, coeffs: dict[Tree, int]) -> SignedTreeSum:
+        """from_dict for terms that are balanced by construction; no checks."""
         items = tuple(sorted(((t, c) for t, c in coeffs.items() if c != 0),
                              key=lambda tc: tc[0].render()))
         return cls(g=g, terms=items)
@@ -245,13 +222,13 @@ class SignedTreeSum:
         return CycleDecomposition.from_dict(self.g, coeffs)
 
 
-# Reductions of canonical trees, shared by every untraced call without an
+# Reductions of canonical families, shared by every untraced call without an
 # explicit step limit: a tree's reduction never changes, and callers that
 # reduce many trees of one genus (crosspath, checks of the determinant route)
 # revisit the same intermediate trees.  Emptied when it reaches the cap, so
 # it stays bounded.
-_SHARED_MEMO: dict[Tree, dict[Tree, int]] = {}
-_SHARED_MEMO_CAP = 1 << 15
+_SHARED_MEMO: dict[Family, dict[Tree, int]] = {}
+_SHARED_MEMO_CAP = _CACHE_CAP
 
 # Without a step_limit, reduce_to_balanced allows _BUDGET_BASE ** genus rotations.
 _BUDGET_BASE = 3
@@ -275,36 +252,36 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     steps = 0
     memo = _SHARED_MEMO if step_limit is None else {}
 
-    def reduce_canonical(tree: Tree) -> dict[Tree, int]:
+    def reduce_family(sets: Family) -> dict[Tree, int]:
         nonlocal steps
         if trace is None:
-            known = memo.get(tree)
+            known = memo.get(sets)
             if known is not None:
                 return known
-        v = find_unbalanced(tree)
+        v = _deepest_unbalanced(sets)
         if v is None:
-            result = {tree: 1}
+            result = {_build(sets): 1}
         else:
             steps += 1
             if steps > limit:
                 raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
-            triple = rotation_triple(tree, v)
+            i, u1, u2, v2 = _rotation(sets, v)
+            rotated = (_replaced(sets, i, u1 | v2), _replaced(sets, i, v2 | u2))
             if trace is not None:
-                trace({"at": triple.s,
-                       "triple": [ot.tree.render() for ot in triple.trees]})
+                trace({"at": i + 1,
+                       "triple": [_build(f).render() for f in (sets, *(f for f, _ in rotated))]})
             result: dict[Tree, int] = {}
-            for ot in triple.trees[1:]:
-                sigma = ot.parity()
-                for term, c in reduce_canonical(ot.tree).items():
+            for family, sigma in rotated:
+                for term, c in reduce_family(family).items():
                     result[term] = result.get(term, 0) - sigma * c
             result = {term: c for term, c in result.items() if c != 0}
         if trace is None:
             if len(memo) >= _SHARED_MEMO_CAP:
                 memo.clear()
-            memo[tree] = result
+            memo[sets] = result
         return result
 
-    return SignedTreeSum.from_dict(t.genus, reduce_canonical(t))
+    return SignedTreeSum._sorted(t.genus, reduce_family(descendant_sets(t)))
 
 
 def verify_cyclic_determinant_identity(triple: CyclicTriple) -> bool:

@@ -23,25 +23,17 @@ from .errors import TreeError
 # A node is either a leaf label or a pair of child nodes.
 Node = Union[int, tuple]
 
-# parse_tree refuses deeper nesting before any recursion starts; a tree of
-# genus g nests at most g-2 deep, far below this for any genus in reach.
+# parse_tree, Tree and Tree.from_node refuse deeper nesting before any
+# recursion starts; a genus-g tree nests at most g-2 deep, far below this.
 MAX_DEPTH = 100
 
-
-def _leaf_labels(node: Node) -> frozenset[int]:
-    if isinstance(node, int):
-        return frozenset((node,))
-    return _leaf_labels(node[0]) | _leaf_labels(node[1])
+# Bound of every cache over trees or node-set families (all 10,395 of genus 8).
+_CACHE_CAP = 1 << 15
 
 
 def _set_sort_key(s: frozenset[int] | set[int]) -> tuple[int, int]:
     """Canonical key of a descendant set: size descending, then smallest label."""
     return (-len(s), min(s))
-
-
-def _pair(a: Node, b: Node) -> Node:
-    """The canonical node over two canonical subtrees with disjoint labels."""
-    return (a, b) if _set_sort_key(_leaf_labels(a)) <= _set_sort_key(_leaf_labels(b)) else (b, a)
 
 
 def _canonicalize(node: Node) -> tuple[Node, int, int]:
@@ -74,20 +66,16 @@ class Tree:
     genus: int
 
     def __post_init__(self) -> None:
-        labels = _validate_node(self.root)
-        n = len(labels)
-        if n < 2:
-            raise TreeError("a tree needs at least 2 leaves (genus >= 3)")
-        if labels != set(range(1, n + 1)):
-            raise TreeError(f"leaf labels must be exactly 1..{n}, got {sorted(labels)}")
-        if self.genus != n + 1:
-            raise TreeError(f"genus {self.genus} does not match {n} leaves (expected {n + 1})")
+        _check_depth(self.root)
+        _check_root(self.root, self.genus)
 
     @classmethod
     def from_node(cls, node: Node) -> Tree:
         """Build a canonical Tree from a nested node structure."""
+        _check_depth(node)
         canonical, size, _ = _canonicalize(node)
-        return cls(root=canonical, genus=size + 1)
+        _check_root(canonical, size + 1)
+        return cls._trusted(canonical, size + 1)
 
     @classmethod
     def _trusted(cls, root: Node, genus: int) -> Tree:
@@ -117,9 +105,31 @@ class Tree:
         return self.render()
 
 
+def _check_depth(node: Node) -> None:
+    """Refuse nesting deeper than MAX_DEPTH, one level at a time, no recursion."""
+    level: list = [node]
+    for _ in range(MAX_DEPTH + 1):
+        if not (level := [child for n in level if isinstance(n, (tuple, list)) for child in n]):
+            return
+    raise TreeError(f"tree nested deeper than {MAX_DEPTH} levels")
+
+
+def _check_root(root: Node, genus: int) -> None:
+    labels = _validate_node(root)
+    n = len(labels)
+    if n < 2:
+        raise TreeError("a tree needs at least 2 leaves (genus >= 3)")
+    if labels != set(range(1, n + 1)):
+        raise TreeError(f"leaf labels must be exactly 1..{n}, got {sorted(labels)}")
+    if genus != n + 1:
+        raise TreeError(f"genus {genus} does not match {n} leaves (expected {n + 1})")
+
+
 def _validate_node(node: Node) -> set[int]:
     """Check structure and canonical child order; return the leaf label set."""
     if isinstance(node, int):
+        if isinstance(node, bool):
+            raise TreeError(f"leaf labels must be integers, got {node!r}")
         if node < 1:
             raise TreeError(f"leaf labels must be positive, got {node}")
         return {node}
@@ -181,7 +191,10 @@ def parse_tree(text: str) -> Tree:
         if lab in seen:
             raise TreeError(f"duplicate leaf label {lab}")
         seen.add(lab)
-    return Tree.from_node(node)
+    # Tree.from_node without its depth scan: the text was checked above
+    canonical, size, _ = _canonicalize(node)
+    _check_root(canonical, size + 1)
+    return Tree._trusted(canonical, size + 1)
 
 
 def _iter_leaves(node: Node) -> Iterator[int]:
@@ -197,7 +210,7 @@ def render_tree(t: Tree) -> str:
     return t.render()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_CAP)
 def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     """Descendant leaf sets of the internal nodes, in canonical ordering.
 
@@ -218,24 +231,30 @@ def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     return tuple(sets)
 
 
-@functools.lru_cache(maxsize=None)
+def _node_report(sets: tuple[frozenset[int], ...]) -> list[tuple[int, bool]]:
+    """(depth, balanced) per position of a canonical family.  A set's
+    ancestors are the earlier sets holding its smallest label lo; the first
+    later set holding lo is the child holding lo, unless that is a leaf."""
+    report = []
+    for i, s in enumerate(sets):
+        lo, second = sorted(s)[:2]
+        child = next((c for c in sets[i + 1:] if lo in c), ())
+        report.append((sum(lo in a for a in sets[:i]), second not in child))
+    return report
+
+
 def node_depths(t: Tree) -> tuple[int, ...]:
-    """Depth (edge distance from the root) per canonical node position: the
-    number of node sets strictly containing the node's set."""
-    sets = descendant_sets(t)
-    return tuple(sum(s < other for other in sets) for s in sets)
+    """Depth (edge distance from the root) per canonical node position."""
+    return tuple(depth for depth, _ in _node_report(descendant_sets(t)))
 
 
-@functools.lru_cache(maxsize=None)
 def balance_report(t: Tree) -> tuple[bool, ...]:
     """Per-node balance flags, indexed by canonical node position.
 
     A node is balanced when its two smallest descendant leaf labels lie in
-    different child subtrees, that is, when no smaller node holds both.
+    different child subtrees.
     """
-    sets = descendant_sets(t)
-    smallest = [frozenset(sorted(s)[:2]) for s in sets]
-    return tuple(not any(pair <= other < s for other in sets) for s, pair in zip(sets, smallest))
+    return tuple(ok for _, ok in _node_report(descendant_sets(t)))
 
 
 def is_balanced(t: Tree) -> bool:
@@ -297,6 +316,22 @@ def _insertions(node: Node, m: int,
     return na + nb, min(la, lb), text, out
 
 
+def _build(sets: tuple[frozenset[int], ...]) -> Tree:
+    """The Tree of a canonical node-set family, built bottom-up without checks:
+    each set joins the two subtrees that hold its labels."""
+    top: dict[int, tuple[Node, frozenset[int]]] = {}
+    for s in reversed(sets):
+        lo = min(s)
+        a, a_set = top.get(lo) or (lo, frozenset((lo,)))
+        hi = min(s - a_set)
+        b, b_set = top.get(hi) or (hi, frozenset((hi,)))
+        # a holds the smaller label, so it comes first unless b is larger
+        joined = ((a, b) if len(a_set) >= len(b_set) else (b, a), s)
+        for label in s:
+            top[label] = joined
+    return Tree._trusted(top[1][0], len(sets[0]) + 1)
+
+
 def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
     """Reconstruct the tree whose internal descendant sets are `sets`.
 
@@ -315,21 +350,12 @@ def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
         raise TreeError("the largest set must be {1..g-1}")
     if len(family) != len(full) - 1:
         raise TreeError(f"expected {len(full) - 1} sets for {len(full)} leaves")
-
-    def build(current: frozenset[int], rest: list[frozenset[int]]) -> Node:
-        if len(current) == 1:
-            return next(iter(current))
-        children = [s for s in rest if s < current]
-        maximal = [s for s in children if not any(s < o for o in children)]
-        if any(s & o for s in maximal for o in maximal if s is not o):
-            raise TreeError("set family is not laminar")
-        covered = frozenset().union(*maximal) if maximal else frozenset()
-        parts = maximal + [frozenset((x,)) for x in current - covered]
-        if len(parts) != 2:
-            raise TreeError("set family does not describe a full binary tree")
-        return (build(parts[0], children), build(parts[1], children))
-
-    return Tree.from_node(build(full, family[1:]))
+    # g-2 laminar sets of size >= 2 in {1..g-1} leave every node two parts
+    if any(len(s) < 2 or not s <= full for s in family):
+        raise TreeError("set family does not describe a full binary tree")
+    if any(a & b and not b <= a for a, b in itertools.combinations(family, 2)):
+        raise TreeError("set family is not laminar")
+    return _build(tuple(family))
 
 
 def tree_to_json(t: Tree) -> dict:

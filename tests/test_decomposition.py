@@ -26,6 +26,7 @@ from braidcycles.decomposition import (
     validate_k,
 )
 from braidcycles.errors import DomainError
+from braidcycles.rewrite import SignedTreeSum
 from braidcycles.trees import (
     Tree,
     descendant_sets,
@@ -114,6 +115,22 @@ class TestConstruction:
     def test_inverse_rejects_unbalanced(self):
         with pytest.raises(DomainError):
             balanced_tree_to_k(parse_tree("((1,2),3)"))
+
+    @pytest.mark.parametrize("g", range(3, 8))
+    def test_inverse_rejects_exactly_unbalanced(self, g):
+        for t in enumerate_trees(g):
+            if is_balanced(t):
+                assert build_balanced_tree(balanced_tree_to_k(t)) == t
+            else:
+                with pytest.raises(DomainError, match="not balanced"):
+                    balanced_tree_to_k(t)
+
+    def test_inverse_rejects_unbalanced_term(self):
+        # a raw SignedTreeSum skips from_dict's check; conversion still refuses
+        # a tree whose root is balanced and whose node {2,3,5} is not
+        raw = SignedTreeSum(g=6, terms=((parse_tree("((1,4),((2,3),5))"), 1),))
+        with pytest.raises(DomainError, match="not balanced"):
+            raw.to_decomposition()
 
     def test_construction_ordering_root_first(self):
         ordering = construction_ordering((1, 1, 2))

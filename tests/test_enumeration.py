@@ -10,6 +10,7 @@ from braidcycles.errors import TreeError
 from braidcycles.rewrite import rotate, rotation_triple
 from braidcycles.trees import (
     Tree,
+    _build,
     descendant_sets,
     enumerate_balanced,
     enumerate_trees,
@@ -74,6 +75,15 @@ class TestTrustedConstructor:
     def test_construction(self, g):
         for k in k_sequences(g):
             assert_validated_equal(build_balanced_tree(k))
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_builder_from_family(self, g):
+        for t in enumerate_trees(g):
+            built = _build(descendant_sets(t))
+            assert built.root == t.root
+            assert built == t
+            assert hash(built) == hash(t)
+            assert_validated_equal(built)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import pytest
 
+import rotation_oracle
 import braidcycles.decomposition as decomposition
 import braidcycles.rewrite as rewrite_module
 from braidcycles.decomposition import (
@@ -61,6 +62,20 @@ class TestRotate:
                 v_set = descendant_sets(t)[v - 1]
                 v_in_prime = descendant_sets(prime).index(v_set) + 1
                 assert t in rotate(prime, v_in_prime)
+
+
+class TestAgainstRotationOracle:
+    """The rotation on node-set families against the walk over nested tuples."""
+
+    @pytest.mark.parametrize("g", range(4, 8))
+    def test_every_eligible_node(self, g):
+        for t in enumerate_trees(g):
+            for v in eligible_nodes(t):
+                trees, orderings, blocks, s, pos = rotation_oracle.rotation_triple(t, v)
+                triple = rotation_triple(t, v)
+                assert tuple(ot.tree for ot in triple.trees) == trees
+                assert tuple(ot.ordering for ot in triple.trees) == orderings
+                assert (triple.blocks, triple.s, triple.t) == (blocks, s, pos)
 
 
 class TestCyclicTriple:

@@ -1,4 +1,8 @@
+import functools
+import gc
+import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +96,36 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(TreeError):
             parse_tree(bad)
+
+
+def nested_caterpillar(leaves):
+    """(((1,2),3),...,leaves) as nested pairs, nested leaves-1 deep."""
+    node = 1
+    for label in range(2, leaves + 1):
+        node = (node, label)
+    return node
+
+
+class TestNodeInput:
+    @pytest.mark.parametrize("build", (
+        lambda node, genus: Tree(root=node, genus=genus),
+        lambda node, genus: Tree.from_node(node),
+    ), ids=("Tree", "from_node"))
+    def test_depth_limit(self, build):
+        deepest = build(nested_caterpillar(MAX_DEPTH + 1), MAX_DEPTH + 2)  # MAX_DEPTH deep
+        assert deepest.render() == render_tree(parse_tree(deepest.render()))
+        for leaves in (MAX_DEPTH + 2, 1501):
+            with pytest.raises(TreeError, match="deeper"):
+                build(nested_caterpillar(leaves), leaves + 1)
+        with pytest.raises(TreeError, match="deeper"):
+            build(functools.reduce(lambda node, label: [node, label], range(2, 1502), 1), 1502)
+
+    @pytest.mark.parametrize("node", (((True, 2), 3), ((1, 2), False), (1, True)))
+    def test_bool_leaves_rejected(self, node):
+        with pytest.raises(TreeError, match="integers"):
+            Tree.from_node(node)
+        with pytest.raises(TreeError, match="integers"):
+            Tree(root=node, genus=4)
 
 
 class TestRender:
@@ -212,6 +246,32 @@ class TestDescendantSets:
     def test_reconstruct_rejects_non_laminar(self):
         with pytest.raises(TreeError):
             tree_from_sets([frozenset({1, 2, 3, 4}), frozenset({1, 2}), frozenset({2, 3})])
+
+    @pytest.mark.parametrize("sets, message", (
+        ([], "empty set family"),
+        ([{1, 2, 3}, {1, 2, 3}], "pairwise distinct"),
+        ([{1, 2, 4}, {1, 2}], "the largest set must be"),
+        ([{1, 2, 3, 4}, {1, 2}], "expected 3 sets for 4 leaves"),
+        ([{1, 2, 3, 4}, {1, 2}, {1}], "full binary tree"),
+        ([{1, 2, 3, 4}, {1, 2}, set()], "full binary tree"),
+        ([{1, 2, 3, 4}, {1, 2}, {2, 9}], "full binary tree"),
+        ([{1, 2, 3, 4}, {1, 2, 3}, {3, 4}], "not laminar"),
+    ))
+    def test_reconstruct_messages(self, sets, message):
+        with pytest.raises(TreeError, match=message):
+            tree_from_sets([frozenset(s) for s in sets])
+
+    def test_cache_is_bounded(self):
+        descendant_sets.cache_clear()
+        first = parse_tree("((1,2),3)")
+        descendant_sets(first)
+        freed = weakref.ref(first)
+        del first
+        for t in itertools.islice(enumerate_trees(9), descendant_sets.cache_info().maxsize):
+            descendant_sets(t)
+        gc.collect()
+        assert freed() is None
+        assert descendant_sets.cache_info().currsize == 1 << 15
 
     def test_json_form(self):
         assert tree_to_json(parse_tree("((1,2),3)")) == {
