@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import AlgebraError
+from .trees import _CACHE_CAP
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,15 @@ def _sort_with_sign(factors: Iterable[Generator]) -> tuple[tuple[Generator, ...]
     return tuple(items), sign
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_CAP)
 def _reduce_sorted(factors: tuple[Generator, ...]) -> tuple[tuple[tuple[Generator, ...], int], ...]:
     """Expand a sorted, duplicate-free product in the admissible basis.
 
     Picks the largest repeated larger-index l and rewrites the adjacent pair
     w(a,l)*w(b,l) (a < b) as w(a,b)*w(b,l) - w(a,b)*w(a,l).  Each replacement
     trades an l for the smaller b, so the multiset of larger indices strictly
-    decreases and the recursion terminates.  The cache is write-once.
+    decreases and the recursion terminates.  The cache keeps the most recent
+    2^15 products (arnold --n 6 fills fewer than a thousand).
     """
     pos = -1
     for p in range(len(factors) - 2, -1, -1):

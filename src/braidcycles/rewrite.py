@@ -55,6 +55,15 @@ class OrderedTree:
             raise DomainError("ordering is not a permutation of the tree's node sets")
 
     @classmethod
+    def _trusted(cls, tree: Tree, ordering: Family) -> OrderedTree:
+        """An OrderedTree whose ordering is a permutation of the tree's node
+        sets by construction; no checks."""
+        ordered = object.__new__(cls)
+        object.__setattr__(ordered, "tree", tree)
+        object.__setattr__(ordered, "ordering", ordering)
+        return ordered
+
+    @classmethod
     def canonical(cls, tree: Tree) -> OrderedTree:
         return cls(tree=tree, ordering=descendant_sets(tree))
 
@@ -106,8 +115,9 @@ def is_cyclic_triple(t1: Tree, t2: Tree, t3: Tree) -> CyclicTriple | None:
         return None
     ord1 = descendant_sets(t1)
     s = ord1.index(d1) + 1
+    # swapping d1 for d gives core | {d}, exactly the node sets of t
     aligned = tuple(
-        OrderedTree(tree=t, ordering=ord1[:s - 1] + (d,) + ord1[s:])
+        OrderedTree._trusted(t, ord1[:s - 1] + (d,) + ord1[s:])
         for t, d in ((t1, d1), (t2, d2), (t3, d3))
     )
     return CyclicTriple(trees=aligned, blocks=(b1, b2, b3), s=s, t=ord1.index(union) + 1)
@@ -164,7 +174,7 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
     sets = descendant_sets(t)
     i, u1, u2, v2 = _rotation(sets, v)
     entries = tuple(
-        OrderedTree(tree=tree, ordering=sets[:i] + (changed,) + sets[i + 1:])
+        OrderedTree._trusted(tree, sets[:i] + (changed,) + sets[i + 1:])
         for tree, changed in ((t, sets[i]),
                               (_build(_replaced(sets, i, u1 | v2)[0]), u1 | v2),
                               (_build(_replaced(sets, i, v2 | u2)[0]), v2 | u2)))

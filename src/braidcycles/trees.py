@@ -27,7 +27,8 @@ Node = Union[int, tuple]
 # recursion starts; a genus-g tree nests at most g-2 deep, far below this.
 MAX_DEPTH = 100
 
-# Bound of every cache over trees or node-set families (all 10,395 of genus 8).
+# Bound of every cache over trees or node-set families (all 10,395 of genus 8),
+# shared by the arnold ring's product cache.
 _CACHE_CAP = 1 << 15
 
 
@@ -40,6 +41,8 @@ def _canonicalize(node: Node) -> tuple[Node, int, int]:
     """Return (canonical node, leaf count, smallest leaf)."""
     if isinstance(node, int):
         return node, 1, node
+    if not (isinstance(node, (tuple, list)) and len(node) == 2):
+        raise TreeError("internal nodes must have exactly two children")
     a, na, la = _canonicalize(node[0])
     b, nb, lb = _canonicalize(node[1])
     key_a, key_b = (-na, la), (-nb, lb)

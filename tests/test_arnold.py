@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidcycles.arnold as arnold
 from braidcycles.arnold import (
     CohomologyClass,
     Monomial,
@@ -202,6 +203,9 @@ class TestStraighten:
         rng.shuffle(perm)
         shuffled = [factors[i] for i in perm]
         assert straighten(n, shuffled) == straighten(n, factors).scale(perm_sign(perm))
+
+    def test_cache_is_bounded(self):
+        assert arnold._reduce_sorted.cache_info().maxsize == 2**15
 
 
 # ---------------------------------------------------------------------------

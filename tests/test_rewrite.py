@@ -250,3 +250,14 @@ class TestOrderedTree:
         t = parse_tree("((1,2),3)")
         with pytest.raises(DomainError):
             OrderedTree(tree=t, ordering=(frozenset({1, 2, 3}), frozenset({2, 3})))
+
+    @pytest.mark.parametrize("g", range(4, 8))
+    def test_trusted_orderings_pass_validation(self, g):
+        # rotation_triple and is_cyclic_triple skip the permutation check;
+        # the validating constructor must accept what they build
+        for t in enumerate_trees(g):
+            for v in eligible_nodes(t):
+                triple = rotation_triple(t, v)
+                matched = is_cyclic_triple(*(ot.tree for ot in triple.trees))
+                for ot in triple.trees + matched.trees:
+                    assert ot == OrderedTree(tree=ot.tree, ordering=ot.ordering)

@@ -127,6 +127,18 @@ class TestNodeInput:
         with pytest.raises(TreeError, match="integers"):
             Tree(root=node, genus=4)
 
+    @pytest.mark.parametrize("node", (
+        ("a", 2), ((1, 2), "3"), ((1, 2), 3.0), ((1, 2), None), ((1, 2), (3,)),
+    ))
+    def test_malformed_nodes_raise_tree_error(self, node):
+        with pytest.raises(TreeError, match="two children"):
+            Tree.from_node(node)
+        with pytest.raises(TreeError, match="two children"):
+            Tree(root=node, genus=4)
+
+    def test_nested_lists_accepted(self):
+        assert Tree.from_node([[2, 1], 3]) == parse_tree("((1,2),3)")
+
 
 class TestRender:
     def test_canonical_child_order(self):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -95,6 +96,34 @@ class TestRelations:
         trees = [f["tree"] for f in report.failures]
         assert trees == sorted(trees)
         json.dumps(report.to_json())  # witnesses stay serializable
+
+    def test_each_distinct_draw_checked_once(self, monkeypatch):
+        calls = []
+        rotation_triple = verification.rotation_triple
+
+        def counted(tree, pos):
+            calls.append((tree, pos))
+            return rotation_triple(tree, pos)
+
+        monkeypatch.setattr(verification, "rotation_triple", counted)
+        report = verify_relations(6, sample=1000, seed=0)
+        draws = verification._sample_indices(len(relation_cases(6)), 1000, 0)
+        assert report.passed and report.cases == 1000
+        # 264 distinct draws out of a pool of 270
+        assert len(calls) == len(set(calls)) == len(set(draws)) == 264
+
+    def test_repeated_failures_reported_per_draw(self, monkeypatch):
+        # every case fails; a case drawn n times must be reported n times
+        monkeypatch.setattr(verification, "_coordinates",
+                            lambda tree, ordering=None: {(1,) * (tree.genus - 2): 1})
+        report = verify_relations(6, sample=500, seed=3)
+        pool = relation_cases(6)
+        draws = verification._sample_indices(len(pool), 500, 3)
+        assert len(set(draws)) < len(draws)
+        assert report.cases == 500
+        assert [f["check"] for f in report.failures] == ["determinant-sum"] * 500
+        assert (Counter((f["tree"], f["node"]) for f in report.failures)
+                == Counter((pool[i][0].render(), pool[i][1]) for i in draws))
 
 
 class TestCrosspath:
