@@ -44,7 +44,6 @@ from .rewrite import (
     reduce_to_balanced,
     rotate,
     rotation_triple,
-    verify_cyclic_determinant_identity,
 )
 from .trees import (
     Tree,
@@ -64,6 +63,7 @@ from .verification import (
     verify_arnold,
     verify_counts,
     verify_crosspath,
+    verify_cyclic_determinant_identity,
     verify_duality,
     verify_relations,
 )

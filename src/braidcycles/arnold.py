@@ -164,6 +164,24 @@ class CohomologyClass:
         return format_class(self)
 
 
+def perm_sign_of(perm: Sequence[int]) -> int:
+    """Sign of a permutation given as the image list of 0..n-1."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = perm[p]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def _sort_with_sign(factors: Iterable[Generator]) -> tuple[tuple[Generator, ...] | None, int]:
     """Sort generators by (larger, smaller) index with the exterior sign.
 
@@ -171,19 +189,11 @@ def _sort_with_sign(factors: Iterable[Generator]) -> tuple[tuple[Generator, ...]
     element vanishes).
     """
     items = list(factors)
-    sign = 1
-    for i in range(1, len(items)):  # insertion sort; inputs are short
-        x = items[i]
-        p = i
-        while p > 0 and items[p - 1].sort_key > x.sort_key:
-            items[p] = items[p - 1]
-            p -= 1
-            sign = -sign
-        items[p] = x
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return None, 0
-    return tuple(items), sign
+    order = sorted(range(len(items)), key=lambda i: items[i].sort_key)
+    ordered = tuple(items[i] for i in order)
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        return None, 0
+    return ordered, perm_sign_of(order)
 
 
 @functools.lru_cache(maxsize=_CACHE_CAP)

@@ -42,8 +42,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled verification (default: 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility (>= 1); suites run serially, "
-                             "so it changes neither results nor speed (default: 1)")
+                        help="deprecated: suites run serially, so it changes neither "
+                             "results nor speed; verify still requires >= 1 (default: 1)")
 
     parser = _Parser(prog="braidcycles",
                      description="Tree-indexed cycles: enumeration, pairing, "
@@ -195,6 +195,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads != 1:
+        print("warning: --threads is deprecated and has no effect", file=sys.stderr)
     try:
         return _COMMANDS[args.command](args)
     except DomainError as exc:

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arnold import CohomologyClass, monomial_to_k
+from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
 from .errors import DomainError
-from .trees import Tree, _build, _set_sort_key, descendant_sets
+from .trees import _CACHE_CAP, Tree, _build, _set_sort_key, descendant_sets
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -49,7 +49,7 @@ def k_sequences(g: int) -> list[KSequence]:
     return [tuple(k) for k in itertools.product(*(range(1, i + 1) for i in range(1, g - 1)))]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_CAP)
 def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...], int]:
     """Run the merge construction; return the tree, its construction
     ordering, and the parity between its canonical and construction orderings.
@@ -103,24 +103,6 @@ def balanced_tree_to_k(t: Tree) -> KSequence:
 
     walk(t.root)
     return tuple(k)
-
-
-def perm_sign_of(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as the image list of 0..n-1."""
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = perm[p]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def parity_between(a: Sequence[frozenset[int]], b: Sequence[frozenset[int]]) -> int:

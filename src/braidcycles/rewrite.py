@@ -20,15 +20,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Callable
 
-from .decomposition import (
-    CycleDecomposition,
-    balanced_tree_to_k,
-    det,
-    epsilon,
-    incidence_matrix,
-    k_sequences,
-    parity_between,
-)
+from .decomposition import CycleDecomposition, balanced_tree_to_k, epsilon, parity_between
 from .errors import DomainError, RewriteBudgetError
 from .trees import (_CACHE_CAP, Tree, _build, _node_report, _set_sort_key, descendant_sets,
                     is_balanced)
@@ -292,15 +284,3 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
         return result
 
     return SignedTreeSum._sorted(t.genus, reduce_family(descendant_sets(t)))
-
-
-def verify_cyclic_determinant_identity(triple: CyclicTriple) -> bool:
-    """Check that the three aligned incidence determinants sum to zero for
-    every index sequence."""
-    g = triple.trees[0].tree.genus
-    for k in k_sequences(g):
-        total = sum(det(incidence_matrix(k, ot.tree, ordering=ot.ordering))
-                    for ot in triple.trees)
-        if total != 0:
-            return False
-    return True

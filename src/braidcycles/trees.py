@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import TreeError
 
@@ -37,22 +37,50 @@ def _set_sort_key(s: frozenset[int] | set[int]) -> tuple[int, int]:
     return (-len(s), min(s))
 
 
-def _canonicalize(node: Node) -> tuple[Node, int, int]:
-    """Return (canonical node, leaf count, smallest leaf)."""
+def _canonicalize(node: Node, leaves: list[int]) -> tuple[Node, int, int]:
+    """Return (canonical node, leaf count, smallest leaf) and append each leaf
+    to `leaves`, unchecked.  Children are ordered by (size, smallest leaf),
+    which ties only when a label repeats; _check_labels rejects that."""
     if isinstance(node, int):
+        leaves.append(node)
         return node, 1, node
     if not (isinstance(node, (tuple, list)) and len(node) == 2):
         raise TreeError("internal nodes must have exactly two children")
-    a, na, la = _canonicalize(node[0])
-    b, nb, lb = _canonicalize(node[1])
-    key_a, key_b = (-na, la), (-nb, lb)
-    if key_a == key_b:
-        # only when a label repeats: comparing the sorted leaves keeps the
-        # duplicate that validation reports the same as a full-list key would
-        key_a, key_b = sorted(_iter_leaves(a)), sorted(_iter_leaves(b))
-    if key_a > key_b:
+    a, na, la = _canonicalize(node[0], leaves)
+    b, nb, lb = _canonicalize(node[1], leaves)
+    if (-na, la) > (-nb, lb):
         a, b = b, a
     return (a, b), na + nb, min(la, lb)
+
+
+def _validated(node: Node, genus: int | None = None) -> tuple[Node, int]:
+    """(canonical node, genus) of a checked tree input: one canonicalizing
+    walk, then one label check.  The genus defaults to the leaf count + 1."""
+    leaves: list[int] = []
+    canonical = _canonicalize(node, leaves)[0]
+    genus = len(leaves) + 1 if genus is None else genus
+    _check_labels(leaves, genus)
+    return canonical, genus
+
+
+def _check_labels(leaves: list[int], genus: int) -> None:
+    """Reject the first fault in a fixed order that does not depend on where
+    it sits in the tree: a bool leaf, the smallest label below 1, the smallest
+    repeated label, fewer than 2 leaves, labels not exactly 1..n, the genus."""
+    if bools := [lab for lab in leaves if isinstance(lab, bool)]:
+        raise TreeError(f"leaf labels must be integers, got {min(bools)!r}")
+    labels = sorted(leaves)
+    n = len(labels)
+    if labels[0] < 1:
+        raise TreeError(f"leaf labels must be positive, got {labels[0]}")
+    if repeated := [a for a, b in zip(labels, labels[1:]) if a == b]:
+        raise TreeError(f"duplicate leaf label {repeated[0]}")
+    if n < 2:
+        raise TreeError("a tree needs at least 2 leaves (genus >= 3)")
+    if labels != list(range(1, n + 1)):
+        raise TreeError(f"leaf labels must be exactly 1..{n}, got {labels}")
+    if genus != n + 1:
+        raise TreeError(f"genus {genus} does not match {n} leaves (expected {n + 1})")
 
 
 def _render(node: Node) -> str:
@@ -70,15 +98,14 @@ class Tree:
 
     def __post_init__(self) -> None:
         _check_depth(self.root)
-        _check_root(self.root, self.genus)
+        if _validated(self.root, self.genus)[0] != self.root:
+            raise TreeError("children are not in canonical order")
 
     @classmethod
     def from_node(cls, node: Node) -> Tree:
         """Build a canonical Tree from a nested node structure."""
         _check_depth(node)
-        canonical, size, _ = _canonicalize(node)
-        _check_root(canonical, size + 1)
-        return cls._trusted(canonical, size + 1)
+        return cls._trusted(*_validated(node))
 
     @classmethod
     def _trusted(cls, root: Node, genus: int) -> Tree:
@@ -115,36 +142,6 @@ def _check_depth(node: Node) -> None:
         if not (level := [child for n in level if isinstance(n, (tuple, list)) for child in n]):
             return
     raise TreeError(f"tree nested deeper than {MAX_DEPTH} levels")
-
-
-def _check_root(root: Node, genus: int) -> None:
-    labels = _validate_node(root)
-    n = len(labels)
-    if n < 2:
-        raise TreeError("a tree needs at least 2 leaves (genus >= 3)")
-    if labels != set(range(1, n + 1)):
-        raise TreeError(f"leaf labels must be exactly 1..{n}, got {sorted(labels)}")
-    if genus != n + 1:
-        raise TreeError(f"genus {genus} does not match {n} leaves (expected {n + 1})")
-
-
-def _validate_node(node: Node) -> set[int]:
-    """Check structure and canonical child order; return the leaf label set."""
-    if isinstance(node, int):
-        if isinstance(node, bool):
-            raise TreeError(f"leaf labels must be integers, got {node!r}")
-        if node < 1:
-            raise TreeError(f"leaf labels must be positive, got {node}")
-        return {node}
-    if not (isinstance(node, tuple) and len(node) == 2):
-        raise TreeError("internal nodes must have exactly two children")
-    left = _validate_node(node[0])
-    right = _validate_node(node[1])
-    if left & right:
-        raise TreeError(f"duplicate leaf label {sorted(left & right)[0]}")
-    if _set_sort_key(left) > _set_sort_key(right):
-        raise TreeError("children are not in canonical order")
-    return left | right
 
 
 def parse_tree(text: str) -> Tree:
@@ -186,26 +183,8 @@ def parse_tree(text: str) -> Tree:
     node = parse_node()
     if pos != len(s):
         raise TreeError(f"trailing input at position {pos}")
-    if isinstance(node, int):
-        raise TreeError("a tree needs at least 2 leaves (genus >= 3)")
-    # duplicate labels surface with a clearer message than the range check
-    seen: set[int] = set()
-    for lab in _iter_leaves(node):
-        if lab in seen:
-            raise TreeError(f"duplicate leaf label {lab}")
-        seen.add(lab)
-    # Tree.from_node without its depth scan: the text was checked above
-    canonical, size, _ = _canonicalize(node)
-    _check_root(canonical, size + 1)
-    return Tree._trusted(canonical, size + 1)
-
-
-def _iter_leaves(node: Node) -> Iterator[int]:
-    if isinstance(node, int):
-        yield node
-    else:
-        yield from _iter_leaves(node[0])
-        yield from _iter_leaves(node[1])
+    # the text check above bounds the depth, so no _check_depth scan
+    return Tree._trusted(*_validated(node))
 
 
 def render_tree(t: Tree) -> str:

@@ -6,7 +6,8 @@ failures, if any, carry a minimal witness replayable through the CLI.
 Sampling uses random.Random (the stdlib Mersenne Twister), so reports are
 bit-for-bit reproducible for a given (parameter, sample, seed).  Cases run
 serially: every check holds the GIL, so worker threads only slowed suites
-down.  The `threads` arguments are accepted and have no effect.
+down.  The `threads` arguments are deprecated: they have no effect, and a
+value other than 1 raises a DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -14,21 +15,23 @@ from __future__ import annotations
 import math
 import random
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .arnold import rank, straighten, w
+from .arnold import perm_sign_of, rank, straighten, w
 from .decomposition import (
     _coordinates,
     build_balanced_tree,
     decompose,
+    det,
     epsilon,
+    incidence_matrix,
     k_sequences,
-    perm_sign_of,
     unit_triangular_certificate,
 )
 from .errors import DomainError
-from .rewrite import is_cyclic_triple, reduce_to_balanced, rotation_triple
+from .rewrite import CyclicTriple, is_cyclic_triple, reduce_to_balanced, rotation_triple
 from .trees import Tree, descendant_sets, enumerate_balanced, enumerate_trees
 
 
@@ -54,6 +57,12 @@ class SuiteReport:
             "failures": self.failures,
             "millis": self.millis,
         }
+
+
+def _warn_threads(threads: int) -> None:
+    if threads != 1:
+        warnings.warn("threads is deprecated and has no effect; suites run serially",
+                      DeprecationWarning, stacklevel=3)
 
 
 def _double_factorial(n: int) -> int:
@@ -84,6 +93,7 @@ def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
 def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
     """Balanced-basis duality: diagonal +-1 table in canonical ordering and
     lower-unitriangular incidence matrices in construction ordering."""
+    _warn_threads(threads)
     if not 3 <= g <= ceiling:
         raise DomainError(f"genus {g} outside configured range 3..{ceiling}")
     start = time.perf_counter()
@@ -135,6 +145,7 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
     case, so a case drawn more than once is checked once and its failures are
     repeated per draw: the report is the same as checking every draw.
     """
+    _warn_threads(threads)
     if g < 3:
         raise DomainError(f"genus must be at least 3, got {g}")
     _check_sample(sample)
@@ -154,11 +165,12 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
         if is_cyclic_triple(*trees) is None:
             bad.append(witness("pattern"))
         coords = [_coordinates(ot.tree, ot.ordering) for ot in triple.trees]
-        failing = [k for k in sorted(coords[0].keys() | coords[1].keys() | coords[2].keys())
-                   if sum(c.get(k, 0) for c in coords)]
-        if failing:
-            bad.append({**witness("determinant-sum"), "k": list(failing[0]),
-                        "dets": [c.get(failing[0], 0) for c in coords]})
+        c1, c2, c3 = coords
+        failing = min((k for k in c1.keys() | c2.keys() | c3.keys()
+                       if c1.get(k, 0) + c2.get(k, 0) + c3.get(k, 0)), default=None)
+        if failing is not None:
+            bad.append({**witness("determinant-sum"), "k": list(failing),
+                        "dets": [c.get(failing, 0) for c in coords]})
         return bad
 
     # one check per distinct draw, in order of first draw; bounded by the pool
@@ -179,8 +191,21 @@ def _sample_indices(size: int, sample: int, seed: int) -> list[int]:
     return [rng.randrange(size) for _ in range(sample)]
 
 
+def verify_cyclic_determinant_identity(triple: CyclicTriple) -> bool:
+    """Check that the three aligned incidence determinants sum to zero for
+    every index sequence."""
+    g = triple.trees[0].tree.genus
+    for k in k_sequences(g):
+        total = sum(det(incidence_matrix(k, ot.tree, ordering=ot.ordering))
+                    for ot in triple.trees)
+        if total != 0:
+            return False
+    return True
+
+
 def verify_crosspath(g: int, threads: int = 1) -> SuiteReport:
     """Determinant route against the rewriting route, tree by tree."""
+    _warn_threads(threads)
     if g < 3:
         raise DomainError(f"genus must be at least 3, got {g}")
     start = time.perf_counter()

@@ -235,6 +235,18 @@ class TestVerify:
         threaded.pop("millis")
         assert base == threaded
 
+    def test_threads_deprecated_on_stderr(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "braidcycles", "verify", "--suite", "duality", "--g", "4"]
+        plain = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        threaded = subprocess.run(argv + ["--threads", "2"], capture_output=True, text=True,
+                                  env=env, timeout=120)
+        assert (plain.returncode, threaded.returncode) == (0, 0)
+        assert plain.stderr == ""
+        assert threaded.stderr == "warning: --threads is deprecated and has no effect\n"
+        assert threaded.stdout.split()[:4] == plain.stdout.split()[:4]  # millis may differ
+
     def test_failing_suite_exits_2(self, run, monkeypatch):
         def broken(param, seed, sample, threads):
             return SuiteReport("counts", param, 1,

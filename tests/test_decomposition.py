@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidcycles.decomposition as decomposition
 from braidcycles.arnold import CohomologyClass, straighten, w, w_basis_index
 from braidcycles.decomposition import (
     CycleDecomposition,
@@ -131,6 +132,9 @@ class TestConstruction:
         raw = SignedTreeSum(g=6, terms=((parse_tree("((1,4),((2,3),5))"), 1),))
         with pytest.raises(DomainError, match="not balanced"):
             raw.to_decomposition()
+
+    def test_construction_cache_is_bounded(self):
+        assert decomposition._construct.cache_info().maxsize == 2**15
 
     def test_construction_ordering_root_first(self):
         ordering = construction_ordering((1, 1, 2))

@@ -10,6 +10,7 @@ from braidcycles.decomposition import (
     incidence_matrix,
     k_sequences,
 )
+from braidcycles import verify_cyclic_determinant_identity
 from braidcycles.errors import DomainError, RewriteBudgetError
 from braidcycles.rewrite import (
     OrderedTree,
@@ -19,7 +20,6 @@ from braidcycles.rewrite import (
     reduce_to_balanced,
     rotate,
     rotation_triple,
-    verify_cyclic_determinant_identity,
 )
 from braidcycles.trees import descendant_sets, enumerate_balanced, enumerate_trees, parse_tree
 
@@ -137,6 +137,13 @@ class TestDeterminantIdentity:
                 triple = rotation_triple(t, v)
                 assert is_cyclic_triple(*[ot.tree for ot in triple.trees]) is not None
                 assert verify_cyclic_determinant_identity(triple)
+
+    def test_rewrite_module_has_no_determinant_names(self):
+        # the rewriting route stays independent of the determinant route
+        names = vars(rewrite_module)
+        for name in ("det", "incidence_matrix", "k_sequences", "_coordinates",
+                     "verify_cyclic_determinant_identity"):
+            assert name not in names
 
 
 class TestFindUnbalanced:

@@ -5,7 +5,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcycles.errors import TreeError
@@ -138,6 +138,84 @@ class TestNodeInput:
 
     def test_nested_lists_accepted(self):
         assert Tree.from_node([[2, 1], 3]) == parse_tree("((1,2),3)")
+
+
+@st.composite
+def tuple_or_list_nodes(draw):
+    """Nested pairs, each a tuple or a list, over 1..7 leaves labelled 0..5,
+    so labels may repeat, fall below 1 or leave gaps."""
+    nodes = [draw(st.integers(0, 5)) for _ in range(draw(st.integers(1, 7)))]
+    while len(nodes) > 1:
+        i = draw(st.integers(0, len(nodes) - 2))
+        pair = (nodes[i], nodes[i + 1])
+        nodes[i:i + 2] = [list(pair) if draw(st.booleans()) else pair]
+    return nodes[0]
+
+
+def node_text(node):
+    return str(node) if isinstance(node, int) else f"({node_text(node[0])},{node_text(node[1])})"
+
+
+def outcome(build):
+    """The canonical text of the tree built, or the TreeError message."""
+    try:
+        return build().render()
+    except TreeError as exc:
+        return str(exc)
+
+
+# name: (node, genus given to Tree(...), the node as text or None when text
+# cannot express it, outcome of Tree(...), outcome of Tree.from_node and of
+# parse_tree).  One entry per single fault, then inputs with two faults, where
+# the earlier fault in the order bool, below 1, repeated label, too few
+# leaves, not 1..n, genus wins, and Tree(...) checks the child order last.
+INPUT_FAULTS = {
+    "bool": (((True, 2), 3), 4, None, "leaf labels must be integers, got True"),
+    "zero": (((0, 2), 3), 4, "((0,2),3)", "leaf labels must be positive, got 0"),
+    "negative": (((-1, 2), 3), 4, None, "leaf labels must be positive, got -1"),
+    "duplicate": (((1, 2), 2), 4, "((1,2),2)", "duplicate leaf label 2"),
+    "one leaf": (1, 2, "1", "a tree needs at least 2 leaves (genus >= 3)"),
+    "range": (((1, 2), 4), 4, "((1,2),4)", "leaf labels must be exactly 1..3, got [1, 2, 4]"),
+    "not a pair": (((1, 2, 3), 4), 5, None, "internal nodes must have exactly two children"),
+    "genus": (((1, 2), 3), 5, "((1,2),3)", "genus 5 does not match 3 leaves (expected 4)",
+              "((1,2),3)"),
+    "order": ((3, (1, 2)), 4, "(3,(1,2))", "children are not in canonical order", "((1,2),3)"),
+    # Tree(...) needs the canonical tuple form, so a list node reads as out of order
+    "list": ([[1, 2], 3], 4, "((1,2),3)", "children are not in canonical order", "((1,2),3)"),
+    "bool, zero": (((True, 0), 3), 4, None, "leaf labels must be integers, got True"),
+    "zero, duplicate": (((0, 0), 3), 4, "((0,0),3)", "leaf labels must be positive, got 0"),
+    "zero, one leaf": (0, 2, "0", "leaf labels must be positive, got 0"),
+    "two duplicates": (((3, 3), (1, 1)), 5, "((3,3),(1,1))", "duplicate leaf label 1"),
+    "range, genus": (((1, 2), 5), 5, "((1,2),5)",
+                     "leaf labels must be exactly 1..3, got [1, 2, 5]"),
+    "genus, order": ((3, (1, 2)), 5, "(3,(1,2))", "genus 5 does not match 3 leaves (expected 4)",
+                     "((1,2),3)"),
+    "not a pair, bool": (((True, 2), (1, 2, 3)), 6, None,
+                         "internal nodes must have exactly two children"),
+}
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize("name", INPUT_FAULTS)
+    def test_tree_constructor(self, name):
+        node, genus, _, expected, *_ = INPUT_FAULTS[name]
+        assert outcome(lambda: Tree(root=node, genus=genus)) == expected
+
+    @pytest.mark.parametrize("name", INPUT_FAULTS)
+    def test_from_node(self, name):
+        node, _, _, message, *accepted = INPUT_FAULTS[name]
+        assert outcome(lambda: Tree.from_node(node)) == (accepted or [message])[0]
+
+    @pytest.mark.parametrize("name", [name for name, row in INPUT_FAULTS.items() if row[2]])
+    def test_parse_tree(self, name):
+        _, _, text, message, *accepted = INPUT_FAULTS[name]
+        assert outcome(lambda: parse_tree(text)) == (accepted or [message])[0]
+
+    @given(tuple_or_list_nodes())
+    @example(((3, 3), (1, 1)))
+    @settings(max_examples=300)
+    def test_parse_tree_agrees_with_from_node(self, node):
+        assert outcome(lambda: parse_tree(node_text(node))) == outcome(lambda: Tree.from_node(node))
 
 
 class TestRender:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 
 import pytest
@@ -139,6 +140,23 @@ class TestCrosspath:
         a.pop("millis")
         b.pop("millis")
         assert a == b
+
+
+class TestThreadsDeprecated:
+    @pytest.mark.parametrize("suite", (
+        lambda threads: verify_duality(4, threads=threads),
+        lambda threads: verify_relations(5, threads=threads),
+        lambda threads: verify_crosspath(4, threads=threads),
+    ), ids=("duality", "relations", "crosspath"))
+    def test_warns_unless_one(self, suite):
+        with pytest.warns(DeprecationWarning, match="threads is deprecated"):
+            threaded = suite(2).to_json()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = suite(1).to_json()
+        threaded.pop("millis")
+        plain.pop("millis")
+        assert threaded == plain
 
 
 class TestArnold:
