@@ -7,8 +7,12 @@ children v1 = (u1, u2) and v2, replaces the one set v1 by u1|v2 or by v2|u2:
 the two other associations, and the three cycles with aligned node orderings
 sum to zero.  Rotating away a deepest unbalanced node strictly reduces
 unbalancedness, so repeated rotation ends in a signed sum over balanced
-trees, independently of the determinant route.  The engine rotates canonical
-families (see descendant_sets) and builds Trees only for what it returns.
+trees, independently of the determinant route.
+
+The engine rotates canonical families (see descendant_sets) and reads each
+balanced family as its index sequence k and epsilon(k), so a reduction is
+{k: coeff * epsilon(k)}: coordinates over the construction-ordered basis.
+Trees are built only for traces and, from a cache per k, for returned terms.
 
 Orderings are tracked by descendant set: the rotated node keeps its position
 while its set changes.  Signs are meaningless without this alignment.
@@ -17,13 +21,15 @@ while its set changes.  Signs are meaningless without this alignment.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .decomposition import CycleDecomposition, balanced_tree_to_k, epsilon, parity_between
+from .arnold import perm_sign_of
+from .decomposition import (CycleDecomposition, KSequence, _construct, balanced_tree_to_k,
+                            epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
-from .trees import (_CACHE_CAP, Tree, _build, _node_report, _set_sort_key, descendant_sets,
-                    is_balanced)
+from .trees import _CACHE_CAP, Tree, _build, _set_sort_key, descendant_sets, is_balanced
 
 TraceHook = Callable[[dict], None]
 # A tree's canonical node-set family, as descendant_sets returns it.
@@ -174,8 +180,41 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
 
 
 def _deepest_unbalanced(sets: Family) -> int | None:
-    unbalanced = [(-depth, pos) for pos, (depth, ok) in enumerate(_node_report(sets), 1) if not ok]
-    return min(unbalanced)[1] if unbalanced else None
+    """find_unbalanced on a family.  A node is unbalanced when the first later
+    set holding its smallest label lo, its child holding lo, also holds its
+    second smallest; only such a node's depth (earlier sets holding lo) is counted."""
+    best, best_depth = None, -1
+    for i, s in enumerate(sets):
+        lo, second = sorted(s)[:2]
+        for child in sets[i + 1:]:
+            if lo in child:
+                if second in child:
+                    depth = sum(lo in a for a in sets[:i])
+                    if depth > best_depth:
+                        best, best_depth = i + 1, depth
+                break
+    return best
+
+
+def _balanced_k(sets: Family) -> tuple[KSequence, int]:
+    """k and epsilon(k) of a balanced family.  A balanced node's children have
+    minima lo < hi, its two smallest labels; the merge construction creates
+    it at step hi-1 (so at construction position hi-1) with k_{hi-1} = lo."""
+    k = [0] * len(sets)
+    positions = []
+    for s in sets:
+        lo, hi = sorted(s)[:2]
+        k[hi - 2] = lo
+        positions.append(hi - 2)
+    return tuple(k), perm_sign_of(positions)
+
+
+@functools.lru_cache(maxsize=_CACHE_CAP)
+def _balanced_term(k: KSequence) -> tuple[str, Tree, int]:
+    """Render text, tree and epsilon(k) of the balanced tree of k.  The merge
+    construction runs uncached, so that its node sets are not kept too."""
+    tree, _, eps = _construct.__wrapped__(k)
+    return tree.render(), tree, eps
 
 
 def find_unbalanced(t: Tree) -> int | None:
@@ -186,24 +225,34 @@ def find_unbalanced(t: Tree) -> int | None:
 
 @dataclass(frozen=True)
 class SignedTreeSum:
-    """Integer combination of balanced trees, each in canonical ordering."""
+    """Integer combination of balanced trees, each in canonical ordering.
+
+    A sum made by reduce_to_balanced also carries its coordinates
+    {k: coeff * epsilon(k)}; they take no part in ==, hash or repr.
+    """
 
     g: int
     terms: tuple[tuple[Tree, int], ...]
+    _by_k: dict[KSequence, int] | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     @classmethod
     def from_dict(cls, g: int, coeffs: dict[Tree, int]) -> SignedTreeSum:
         for tree in coeffs:
             if not is_balanced(tree):
                 raise DomainError(f"term {tree.render()} is not balanced")
-        return cls._sorted(g, coeffs)
-
-    @classmethod
-    def _sorted(cls, g: int, coeffs: dict[Tree, int]) -> SignedTreeSum:
-        """from_dict for terms that are balanced by construction; no checks."""
         items = tuple(sorted(((t, c) for t, c in coeffs.items() if c != 0),
                              key=lambda tc: tc[0].render()))
         return cls(g=g, terms=items)
+
+    @classmethod
+    def _from_k(cls, g: int, by_k: dict[KSequence, int]) -> SignedTreeSum:
+        """The sum with coordinates `by_k` (nonzero, epsilon folded in), its
+        terms sorted by text; a balanced tree's text is unique."""
+        entries = sorted((_balanced_term(k), c) for k, c in by_k.items())
+        signed = cls(g=g, terms=tuple((tree, c * eps) for (_, tree, eps), c in entries))
+        object.__setattr__(signed, "_by_k", by_k)
+        return signed
 
     def as_dict(self) -> dict[Tree, int]:
         return dict(self.terms)
@@ -216,7 +265,10 @@ class SignedTreeSum:
 
     def to_decomposition(self) -> CycleDecomposition:
         """Convert to coordinates over the construction-ordered basis, which
-        picks up each tree's ordering parity."""
+        picks up each tree's ordering parity.  A sum without carried
+        coordinates walks each term back to its k."""
+        if self._by_k is not None:
+            return CycleDecomposition.from_dict(self.g, self._by_k)
         coeffs = {}
         for tree, c in self.terms:
             k = balanced_tree_to_k(tree)
@@ -224,13 +276,12 @@ class SignedTreeSum:
         return CycleDecomposition.from_dict(self.g, coeffs)
 
 
-# Reductions of canonical families, shared by every untraced call without an
-# explicit step limit: a tree's reduction never changes, and callers that
-# reduce many trees of one genus (crosspath, checks of the determinant route)
-# revisit the same intermediate trees.  Emptied when it reaches the cap, so
-# it stays bounded.
-_SHARED_MEMO: dict[Family, dict[Tree, int]] = {}
-_SHARED_MEMO_CAP = _CACHE_CAP
+# Reductions of canonical families to {k: coeff * epsilon(k)}, shared by every
+# untraced call without an explicit step limit: a tree's reduction never
+# changes, and callers that reduce many trees of one genus (crosspath, checks
+# of the determinant route) revisit the same intermediate trees.  Emptied
+# when it reaches the cap, so it stays bounded.
+_SHARED_MEMO: dict[Family, dict[KSequence, int]] = {}
 
 # Without a step_limit, reduce_to_balanced allows _BUDGET_BASE ** genus rotations.
 _BUDGET_BASE = 3
@@ -243,6 +294,8 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     Balanced input is returned as itself with coefficient 1.  Otherwise the
     tree is rotated at a deepest unbalanced node and both results recurse
     with coefficient -1, their inherited orderings folded into the sign.
+    The recursion sums coordinates keyed by k, epsilon folded in, and the
+    returned sum carries them for to_decomposition.
     Each rotation is reported to `trace` when given (which also disables
     memoization, so the trace covers the whole recursion tree).  The step
     ceiling of 3^g is a circuit breaker only (it raises RewriteBudgetError);
@@ -254,7 +307,7 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     steps = 0
     memo = _SHARED_MEMO if step_limit is None else {}
 
-    def reduce_family(sets: Family) -> dict[Tree, int]:
+    def reduce_family(sets: Family) -> dict[KSequence, int]:
         nonlocal steps
         if trace is None:
             known = memo.get(sets)
@@ -262,7 +315,8 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
                 return known
         v = _deepest_unbalanced(sets)
         if v is None:
-            result = {_build(sets): 1}
+            k, eps = _balanced_k(sets)
+            result = {k: eps}
         else:
             steps += 1
             if steps > limit:
@@ -272,15 +326,15 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
             if trace is not None:
                 trace({"at": i + 1,
                        "triple": [_build(f).render() for f in (sets, *(f for f, _ in rotated))]})
-            result: dict[Tree, int] = {}
+            result = {}
             for family, sigma in rotated:
-                for term, c in reduce_family(family).items():
-                    result[term] = result.get(term, 0) - sigma * c
-            result = {term: c for term, c in result.items() if c != 0}
+                for k, c in reduce_family(family).items():
+                    result[k] = result.get(k, 0) - sigma * c
+            result = {k: c for k, c in result.items() if c != 0}
         if trace is None:
-            if len(memo) >= _SHARED_MEMO_CAP:
+            if len(memo) >= _CACHE_CAP:
                 memo.clear()
             memo[sets] = result
         return result
 
-    return SignedTreeSum._sorted(t.genus, reduce_family(descendant_sets(t)))
+    return SignedTreeSum._from_k(t.genus, reduce_family(descendant_sets(t)))

@@ -247,6 +247,16 @@ class TestVerify:
         assert threaded.stderr == "warning: --threads is deprecated and has no effect\n"
         assert threaded.stdout.split()[:4] == plain.stdout.split()[:4]  # millis may differ
 
+    def test_threads_warn_once_with_python_warnings_shown(self):
+        # the CLI warns itself, so the library must not add a DeprecationWarning
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-W", "default", "-m", "braidcycles", "verify",
+                "--suite", "duality", "--g", "4", "--threads", "2"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: --threads is deprecated and has no effect\n"
+
     def test_failing_suite_exits_2(self, run, monkeypatch):
         def broken(param, seed, sample, threads):
             return SuiteReport("counts", param, 1,

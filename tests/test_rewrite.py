@@ -4,6 +4,7 @@ import rotation_oracle
 import braidcycles.decomposition as decomposition
 import braidcycles.rewrite as rewrite_module
 from braidcycles.decomposition import (
+    balanced_tree_to_k,
     decompose,
     det,
     epsilon,
@@ -268,3 +269,44 @@ class TestOrderedTree:
                 matched = is_cyclic_triple(*(ot.tree for ot in triple.trees))
                 for ot in triple.trees + matched.trees:
                     assert ot == OrderedTree(tree=ot.tree, ordering=ot.ordering)
+
+
+class TestIndexSequences:
+    """The engine's coordinates {k: coeff * epsilon(k)} against the walk over
+    each returned term (balanced_tree_to_k, epsilon) and the determinant route."""
+
+    @pytest.mark.parametrize("g", range(3, 10))
+    def test_k_and_epsilon_read_from_balanced_family(self, g):
+        for b in enumerate_balanced(g):
+            k = balanced_tree_to_k(b)
+            assert rewrite_module._balanced_k(descendant_sets(b)) == (k, epsilon(k))
+
+    @pytest.mark.parametrize("g", range(3, 10))
+    def test_term_cache_matches_construction(self, g):
+        for b in enumerate_balanced(g):
+            k = balanced_tree_to_k(b)
+            assert rewrite_module._balanced_term(k) == (b.render(), b, epsilon(k))
+
+    @pytest.mark.parametrize("mode", ("shared-memo", "trace", "step-limit"))
+    @pytest.mark.parametrize("g", range(3, 8))
+    def test_carried_coordinates_match_term_walk(self, g, mode):
+        options = {"shared-memo": {}, "trace": {"trace": lambda event: None},
+                   "step-limit": {"step_limit": 3 ** g}}[mode]
+        for t in enumerate_trees(g):
+            engine = reduce_to_balanced(t, **options)
+            by_hand = SignedTreeSum(t.genus, engine.terms)
+            via_det = decompose(t)
+            assert engine.to_decomposition() == by_hand.to_decomposition() == via_det
+            assert engine == by_hand == SignedTreeSum.from_dict(t.genus, engine.as_dict())
+
+    def test_carried_coordinates_take_no_part_in_identity(self):
+        t = parse_tree("(((1,2),3),(4,5))")
+        engine = reduce_to_balanced(t)
+        by_hand = SignedTreeSum(t.genus, engine.terms)
+        assert engine == by_hand
+        assert hash(engine) == hash(by_hand)
+        assert repr(engine) == repr(by_hand)
+        assert "_by_k" not in repr(engine)
+
+    def test_term_cache_is_bounded(self):
+        assert rewrite_module._balanced_term.cache_info().maxsize == 2**15
