@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
 from .errors import DomainError
-from .trees import _CACHE_CAP, Tree, _build, _set_sort_key, descendant_sets
+from .trees import _CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, descendant_sets
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -50,9 +50,9 @@ def k_sequences(g: int) -> list[KSequence]:
 
 
 @functools.lru_cache(maxsize=_CACHE_CAP)
-def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...], int]:
-    """Run the merge construction; return the tree, its construction
-    ordering, and the parity between its canonical and construction orderings.
+def _construct(k: KSequence) -> tuple[Tree, Masks, int]:
+    """Run the merge construction: the tree, its construction ordering as
+    masks, and the parity between its canonical and construction orderings.
 
     Clusters start as singletons {1}, ..., {g-1}; step i (taken for i = g-2
     down to 1) joins the cluster whose representative is k_i with the one
@@ -61,15 +61,15 @@ def _construct(k: KSequence) -> tuple[Tree, tuple[frozenset[int], ...], int]:
     i of the construction ordering holds the node created at step i, so
     position 1 is the root and position g-2 the first-created node.
     """
-    set_of = {lab: frozenset((lab,)) for lab in range(1, len(k) + 2)}
-    created: list[frozenset[int]] = []
+    mask_of = {lab: 1 << lab for lab in range(1, len(k) + 2)}
+    created: list[int] = []
     for i in range(len(k), 0, -1):
         a = k[i - 1]
-        set_of[a] = set_of[a] | set_of.pop(i + 1)
-        created.append(set_of[a])
+        mask_of[a] |= mask_of.pop(i + 1)
+        created.append(mask_of[a])
     ordering = tuple(reversed(created))
-    family = tuple(sorted(created, key=_set_sort_key))
-    return _build(family), ordering, parity_between(family, ordering)
+    family = tuple(sorted(created, key=_mask_key))
+    return _build(family), ordering, perm_sign_of([ordering.index(m) for m in family])
 
 
 def build_balanced_tree(k: Sequence[int]) -> Tree:
@@ -79,7 +79,7 @@ def build_balanced_tree(k: Sequence[int]) -> Tree:
 
 def construction_ordering(k: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Node sets of build_balanced_tree(k) in construction order (root first)."""
-    return _construct(validate_k(k))[1]
+    return tuple(map(_labels, _construct(validate_k(k))[1]))
 
 
 def balanced_tree_to_k(t: Tree) -> KSequence:
@@ -300,5 +300,4 @@ def duality_table(g: int) -> list[list[int]]:
 def unit_triangular_certificate(k: Sequence[int]) -> Matrix:
     """Incidence matrix of k against its own tree in construction ordering;
     lower unitriangular by construction."""
-    tree, ordering, _ = _construct(validate_k(k))
-    return incidence_matrix(k, tree, ordering=ordering)
+    return incidence_matrix(k, build_balanced_tree(k), ordering=construction_ordering(k))

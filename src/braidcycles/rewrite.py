@@ -9,10 +9,12 @@ sum to zero.  Rotating away a deepest unbalanced node strictly reduces
 unbalancedness, so repeated rotation ends in a signed sum over balanced
 trees, independently of the determinant route.
 
-The engine rotates canonical families (see descendant_sets) and reads each
-balanced family as its index sequence k and epsilon(k), so a reduction is
-{k: coeff * epsilon(k)}: coordinates over the construction-ordered basis.
-Trees are built only for traces and, from a cache per k, for returned terms.
+The engine rotates canonical families held as int bitmasks (see trees.py):
+a node's lowest label is m & -m, and a rotation replaces one mask.  It reads
+each balanced family as its index sequence k and epsilon(k), so a reduction
+is {k: coeff * epsilon(k)}: coordinates over the construction-ordered basis.
+Trees are built only for traces and, from a cache per k, for returned terms;
+public functions take and return frozensets.
 
 Orderings are tracked by descendant set: the rotated node keeps its position
 while its set changes.  Signs are meaningless without this alignment.
@@ -29,11 +31,10 @@ from .arnold import perm_sign_of
 from .decomposition import (CycleDecomposition, KSequence, _construct, balanced_tree_to_k,
                             epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
-from .trees import _CACHE_CAP, Tree, _build, _set_sort_key, descendant_sets, is_balanced
+from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, _masks,
+                    descendant_sets, is_balanced)
 
 TraceHook = Callable[[dict], None]
-# A tree's canonical node-set family, as descendant_sets returns it.
-Family = tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class OrderedTree:
             raise DomainError("ordering is not a permutation of the tree's node sets")
 
     @classmethod
-    def _trusted(cls, tree: Tree, ordering: Family) -> OrderedTree:
+    def _trusted(cls, tree: Tree, ordering: tuple[frozenset[int], ...]) -> OrderedTree:
         """An OrderedTree whose ordering is a permutation of the tree's node
         sets by construction; no checks."""
         ordered = object.__new__(cls)
@@ -121,36 +122,38 @@ def is_cyclic_triple(t1: Tree, t2: Tree, t3: Tree) -> CyclicTriple | None:
     return CyclicTriple(trees=aligned, blocks=(b1, b2, b3), s=s, t=ord1.index(union) + 1)
 
 
-def _children(sets: Family, i: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The two child sets of node i, a leaf as a singleton: first the child
+def _children(masks: Masks, i: int) -> tuple[int, int]:
+    """The two child masks of node i, a leaf as one bit: first the child
     holding both of the node's two smallest labels, if one does, otherwise
-    canonical order.  The first later set inside a node is one of its children."""
-    s, (lo, second) = sets[i], sorted(sets[i])[:2]
-    first = next((c for c in sets[i + 1:] if c < s), frozenset((lo,)))
-    other = s - first
-    return (other, first) if lo in other and second in other else (first, other)
+    canonical order.  The first later mask inside a node is one of its children."""
+    s = masks[i]
+    lo = s & -s
+    first = next((c for c in masks[i + 1:] if c & s == c), lo)
+    # the other child holds both smallest labels exactly when first holds neither
+    two_lowest = lo | ((s ^ lo) & -(s ^ lo))
+    return (first, s ^ first) if first & two_lowest else (s ^ first, first)
 
 
-def _rotation(sets: Family, v: int) -> tuple[int, frozenset[int], frozenset[int], frozenset[int]]:
-    """Index of v1 in `sets`, and u1, u2, v2: v has children (v1, v2) and v1,
+def _rotation(masks: Masks, v: int) -> tuple[int, int, int, int]:
+    """Index of v1 in `masks`, and u1, u2, v2: v has children (v1, v2) and v1,
     which must be internal, has children (u1, u2), both as _children orders
     them.  Applying the same preference inside v1 is what makes re-rotating
     the first output recover the input tree."""
-    if not (1 <= v <= len(sets)):
-        raise DomainError(f"node index {v} out of range 1..{len(sets)}")
-    v1, v2 = _children(sets, v - 1)
-    if len(v1) < 2:
+    if not (1 <= v <= len(masks)):
+        raise DomainError(f"node index {v} out of range 1..{len(masks)}")
+    v1, v2 = _children(masks, v - 1)
+    if v1.bit_count() < 2:
         raise DomainError("node has two leaf children; no rotation is available")
-    i = sets.index(v1, v)
-    return (i, *_children(sets, i), v2)
+    i = masks.index(v1, v)
+    return (i, *_children(masks, i), v2)
 
 
-def _replaced(sets: Family, i: int, new: frozenset[int]) -> tuple[Family, int]:
-    """The canonical family with sets[i] replaced by `new`, and the sign of
+def _replaced(masks: Masks, i: int, new: int) -> tuple[Masks, int]:
+    """The canonical family with masks[i] replaced by `new`, and the sign of
     the permutation from that aligned ordering to the canonical one: `new`
     moves from index i to index p, a cycle of length |p - i| + 1."""
-    rest = sets[:i] + sets[i + 1:]
-    p = bisect.bisect(rest, _set_sort_key(new), key=_set_sort_key)
+    rest = masks[:i] + masks[i + 1:]
+    p = bisect.bisect(rest, _mask_key(new), key=_mask_key)
     return rest[:p] + (new,) + rest[p:], -1 if (p - i) % 2 else 1
 
 
@@ -170,42 +173,45 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
     The rotated node keeps its position; only its descendant set changes.
     """
     sets = descendant_sets(t)
-    i, u1, u2, v2 = _rotation(sets, v)
-    entries = tuple(
-        OrderedTree._trusted(tree, sets[:i] + (changed,) + sets[i + 1:])
-        for tree, changed in ((t, sets[i]),
-                              (_build(_replaced(sets, i, u1 | v2)[0]), u1 | v2),
-                              (_build(_replaced(sets, i, v2 | u2)[0]), v2 | u2)))
-    return CyclicTriple(trees=entries, blocks=(v2, u2, u1), s=i + 1, t=v)
+    masks = _masks(sets)
+    i, u1, u2, v2 = _rotation(masks, v)
+    entries = (OrderedTree._trusted(t, sets),) + tuple(
+        OrderedTree._trusted(_build(_replaced(masks, i, new)[0]),
+                             sets[:i] + (_labels(new),) + sets[i + 1:])
+        for new in (u1 | v2, v2 | u2))
+    return CyclicTriple(trees=entries, blocks=(_labels(v2), _labels(u2), _labels(u1)),
+                        s=i + 1, t=v)
 
 
-def _deepest_unbalanced(sets: Family) -> int | None:
+def _deepest_unbalanced(masks: Masks) -> int | None:
     """find_unbalanced on a family.  A node is unbalanced when the first later
-    set holding its smallest label lo, its child holding lo, also holds its
-    second smallest; only such a node's depth (earlier sets holding lo) is counted."""
+    mask holding its lowest bit lo, its child holding lo, also holds its
+    second lowest; only such a node's depth (earlier masks holding lo) is counted."""
     best, best_depth = None, -1
-    for i, s in enumerate(sets):
-        lo, second = sorted(s)[:2]
-        for child in sets[i + 1:]:
-            if lo in child:
-                if second in child:
-                    depth = sum(lo in a for a in sets[:i])
+    for i, s in enumerate(masks):
+        lo = s & -s
+        for child in masks[i + 1:]:
+            if child & lo:
+                rest = s ^ lo
+                if child & rest & -rest:
+                    depth = sum(1 for a in masks[:i] if a & lo)
                     if depth > best_depth:
                         best, best_depth = i + 1, depth
                 break
     return best
 
 
-def _balanced_k(sets: Family) -> tuple[KSequence, int]:
+def _balanced_k(masks: Masks) -> tuple[KSequence, int]:
     """k and epsilon(k) of a balanced family.  A balanced node's children have
     minima lo < hi, its two smallest labels; the merge construction creates
     it at step hi-1 (so at construction position hi-1) with k_{hi-1} = lo."""
-    k = [0] * len(sets)
+    k = [0] * len(masks)
     positions = []
-    for s in sets:
-        lo, hi = sorted(s)[:2]
-        k[hi - 2] = lo
-        positions.append(hi - 2)
+    for s in masks:
+        lo = s & -s
+        position = ((s ^ lo) & -(s ^ lo)).bit_length() - 3  # hi - 2
+        k[position] = lo.bit_length() - 1
+        positions.append(position)
     return tuple(k), perm_sign_of(positions)
 
 
@@ -220,7 +226,7 @@ def _balanced_term(k: KSequence) -> tuple[str, Tree, int]:
 def find_unbalanced(t: Tree) -> int | None:
     """Canonical position of a deepest unbalanced node (smallest position on
     ties), or None when the tree is balanced."""
-    return _deepest_unbalanced(descendant_sets(t))
+    return _deepest_unbalanced(_masks(descendant_sets(t)))
 
 
 @dataclass(frozen=True)
@@ -276,12 +282,12 @@ class SignedTreeSum:
         return CycleDecomposition.from_dict(self.g, coeffs)
 
 
-# Reductions of canonical families to {k: coeff * epsilon(k)}, shared by every
-# untraced call without an explicit step limit: a tree's reduction never
+# Reductions of canonical mask families to {k: coeff * epsilon(k)}, shared by
+# every untraced call without an explicit step limit: a tree's reduction never
 # changes, and callers that reduce many trees of one genus (crosspath, checks
 # of the determinant route) revisit the same intermediate trees.  Emptied
 # when it reaches the cap, so it stays bounded.
-_SHARED_MEMO: dict[Family, dict[KSequence, int]] = {}
+_SHARED_MEMO: dict[Masks, dict[KSequence, int]] = {}
 
 # Without a step_limit, reduce_to_balanced allows _BUDGET_BASE ** genus rotations.
 _BUDGET_BASE = 3
@@ -303,29 +309,36 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     memoized across calls, except under an explicit `step_limit`, which then
     counts every rotation of this tree's reduction.
     """
+    return SignedTreeSum._from_k(t.genus, _reduce(t, trace, step_limit))
+
+
+def _reduce(t: Tree, trace: TraceHook | None = None,
+            step_limit: int | None = None) -> dict[KSequence, int]:
+    """The coordinates {k: coeff * epsilon(k)} of reduce_to_balanced(t), with
+    no terms built.  The result may be the shared memo's; do not mutate it."""
     limit = _BUDGET_BASE ** t.genus if step_limit is None else step_limit
     steps = 0
     memo = _SHARED_MEMO if step_limit is None else {}
 
-    def reduce_family(sets: Family) -> dict[KSequence, int]:
+    def reduce_family(masks: Masks) -> dict[KSequence, int]:
         nonlocal steps
         if trace is None:
-            known = memo.get(sets)
+            known = memo.get(masks)
             if known is not None:
                 return known
-        v = _deepest_unbalanced(sets)
+        v = _deepest_unbalanced(masks)
         if v is None:
-            k, eps = _balanced_k(sets)
+            k, eps = _balanced_k(masks)
             result = {k: eps}
         else:
             steps += 1
             if steps > limit:
                 raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
-            i, u1, u2, v2 = _rotation(sets, v)
-            rotated = (_replaced(sets, i, u1 | v2), _replaced(sets, i, v2 | u2))
+            i, u1, u2, v2 = _rotation(masks, v)
+            rotated = (_replaced(masks, i, u1 | v2), _replaced(masks, i, v2 | u2))
             if trace is not None:
                 trace({"at": i + 1,
-                       "triple": [_build(f).render() for f in (sets, *(f for f, _ in rotated))]})
+                       "triple": [_build(f).render() for f in (masks, *(f for f, _ in rotated))]})
             result = {}
             for family, sigma in rotated:
                 for k, c in reduce_family(family).items():
@@ -334,7 +347,7 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
         if trace is None:
             if len(memo) >= _CACHE_CAP:
                 memo.clear()
-            memo[sets] = result
+            memo[masks] = result
         return result
 
-    return SignedTreeSum._from_k(t.genus, reduce_family(descendant_sets(t)))
+    return reduce_family(_masks(descendant_sets(t)))

@@ -9,6 +9,10 @@ The same key orders the internal nodes themselves; position 1 of the
 canonical node ordering is always the root.  The sets compared are always
 disjoint (a laminar family), so the key agrees with a lexicographic
 tie-break on the sorted element lists.
+
+The builder, the merge construction and the rewriting engine hold a family as
+int bitmasks, bit x for label x; on a laminar family the key (-popcount,
+lowest set bit) is the same order.  Public functions take and return sets.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ Node = Union[int, tuple]
 # recursion starts; a genus-g tree nests at most g-2 deep, far below this.
 MAX_DEPTH = 100
 
+Masks = tuple[int, ...]  # a canonical family as bitmasks, bit x for label x
+
 # Bound of every cache over trees or node-set families (all 10,395 of genus 8),
 # shared by the arnold ring's product cache.
 _CACHE_CAP = 1 << 15
@@ -35,6 +41,19 @@ _CACHE_CAP = 1 << 15
 def _set_sort_key(s: frozenset[int] | set[int]) -> tuple[int, int]:
     """Canonical key of a descendant set: size descending, then smallest label."""
     return (-len(s), min(s))
+
+
+def _mask_key(m: int) -> tuple[int, int]:
+    """_set_sort_key of a node mask: popcount descending, then lowest set bit."""
+    return (-m.bit_count(), m & -m)
+
+
+def _masks(sets: Iterable[frozenset[int]]) -> Masks:
+    return tuple(sum(1 << x for x in s) for s in sets)
+
+
+def _labels(m: int) -> frozenset[int]:
+    return frozenset(x for x in range(m.bit_length()) if m >> x & 1)
 
 
 def _canonicalize(node: Node, leaves: list[int]) -> tuple[Node, int, int]:
@@ -298,20 +317,20 @@ def _insertions(node: Node, m: int,
     return na + nb, min(la, lb), text, out
 
 
-def _build(sets: tuple[frozenset[int], ...]) -> Tree:
-    """The Tree of a canonical node-set family, built bottom-up without checks:
-    each set joins the two subtrees that hold its labels."""
-    top: dict[int, tuple[Node, frozenset[int]]] = {}
-    for s in reversed(sets):
-        lo = min(s)
-        a, a_set = top.get(lo) or (lo, frozenset((lo,)))
-        hi = min(s - a_set)
-        b, b_set = top.get(hi) or (hi, frozenset((hi,)))
+def _build(masks: Masks) -> Tree:
+    """The Tree of a canonical mask family, built bottom-up without checks:
+    each node joins the subtree holding its lowest label and the one whose
+    minimum is the lowest label outside it, both keyed by lowest bit."""
+    top: dict[int, tuple[Node, int]] = {}
+    for s in reversed(masks):
+        lo = s & -s
+        a, a_mask = top.get(lo) or (lo.bit_length() - 1, lo)
+        b_mask = s ^ a_mask
+        hi = b_mask & -b_mask
+        b = top.pop(hi)[0] if hi != b_mask else hi.bit_length() - 1
         # a holds the smaller label, so it comes first unless b is larger
-        joined = ((a, b) if len(a_set) >= len(b_set) else (b, a), s)
-        for label in s:
-            top[label] = joined
-    return Tree._trusted(top[1][0], len(sets[0]) + 1)
+        top[lo] = ((a, b) if a_mask.bit_count() >= b_mask.bit_count() else (b, a), s)
+    return Tree._trusted(top[2][0], masks[0].bit_count() + 1)
 
 
 def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
@@ -337,7 +356,7 @@ def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
         raise TreeError("set family does not describe a full binary tree")
     if any(a & b and not b <= a for a, b in itertools.combinations(family, 2)):
         raise TreeError("set family is not laminar")
-    return _build(tuple(family))
+    return _build(_masks(family))
 
 
 def tree_to_json(t: Tree) -> dict:

@@ -21,6 +21,7 @@ from typing import Callable
 
 from .arnold import perm_sign_of, rank, straighten, w
 from .decomposition import (
+    CycleDecomposition,
     _coordinates,
     build_balanced_tree,
     decompose,
@@ -31,7 +32,7 @@ from .decomposition import (
     unit_triangular_certificate,
 )
 from .errors import DomainError
-from .rewrite import CyclicTriple, is_cyclic_triple, reduce_to_balanced, rotation_triple
+from .rewrite import CyclicTriple, _reduce, is_cyclic_triple, rotation_triple
 from .trees import Tree, descendant_sets, enumerate_balanced, enumerate_trees
 
 
@@ -213,7 +214,7 @@ def verify_crosspath(g: int, threads: int = 1) -> SuiteReport:
 
     def check_tree(t: Tree) -> list[dict]:
         via_det = decompose(t)
-        via_rewrite = reduce_to_balanced(t).to_decomposition()
+        via_rewrite = CycleDecomposition.from_dict(t.genus, _reduce(t))
         if via_det == via_rewrite:
             return []
         return [{"check": "crosspath", "tree": t.render(),

@@ -11,6 +11,7 @@ from braidcycles.rewrite import rotate, rotation_triple
 from braidcycles.trees import (
     Tree,
     _build,
+    _masks,
     descendant_sets,
     enumerate_balanced,
     enumerate_trees,
@@ -79,7 +80,7 @@ class TestTrustedConstructor:
     @pytest.mark.parametrize("g", range(3, 9))
     def test_builder_from_family(self, g):
         for t in enumerate_trees(g):
-            built = _build(descendant_sets(t))
+            built = _build(_masks(descendant_sets(t)))
             assert built.root == t.root
             assert built == t
             assert hash(built) == hash(t)

@@ -22,7 +22,7 @@ from braidcycles.rewrite import (
     rotate,
     rotation_triple,
 )
-from braidcycles.trees import descendant_sets, enumerate_balanced, enumerate_trees, parse_tree
+from braidcycles.trees import _masks, descendant_sets, enumerate_balanced, enumerate_trees, parse_tree
 
 
 def eligible_nodes(t):
@@ -279,7 +279,7 @@ class TestIndexSequences:
     def test_k_and_epsilon_read_from_balanced_family(self, g):
         for b in enumerate_balanced(g):
             k = balanced_tree_to_k(b)
-            assert rewrite_module._balanced_k(descendant_sets(b)) == (k, epsilon(k))
+            assert rewrite_module._balanced_k(_masks(descendant_sets(b))) == (k, epsilon(k))
 
     @pytest.mark.parametrize("g", range(3, 10))
     def test_term_cache_matches_construction(self, g):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import braidcycles.rewrite as rewrite
 import braidcycles.verification as verification
 from braidcycles.decomposition import det, incidence_matrix, k_sequences
 from braidcycles.errors import DomainError
@@ -140,6 +141,15 @@ class TestCrosspath:
         a.pop("millis")
         b.pop("millis")
         assert a == b
+
+    def test_builds_no_terms(self, monkeypatch):
+        # crosspath compares coordinates only, so no balanced term is built
+        def term_built(*args, **kwargs):
+            raise AssertionError("verify_crosspath built a balanced term")
+
+        monkeypatch.setattr(rewrite, "_balanced_term", term_built)
+        monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
+        assert verify_crosspath(6).passed
 
 
 class TestThreadsDeprecated:
