@@ -174,23 +174,18 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _coordinates(t: Tree, ordering: Sequence[frozenset[int]] | None = None,
-                 k: KSequence | None = None) -> dict[KSequence, int]:
-    """Every nonzero det(incidence_matrix(k, t, ordering)), keyed by k; with
-    `k` given, only that sequence is tried.
+def _coordinates(t: Tree, k: KSequence | None = None) -> dict[KSequence, int]:
+    """Every nonzero det(incidence_matrix(k, t)), keyed by k; only `k` if given.
 
     Row i of the incidence matrix marks the ancestors-or-self of the node
     a_i = LCA(k_i, i+1), so X = A.Z: A selects node a_i in row i and Z is the
     ancestor matrix.  Z is unitriangular in the canonical ordering (ancestors
-    come first) and conjugate to it by a permutation in any other, so
-    det Z = 1 and det X is the sign of i -> position of a_i when that map is
-    a bijection, 0 otherwise.  Backtracking over the rows skips nodes already
-    in the image, so only the support is visited.  `ordering` must be a
-    permutation of the tree's node sets; the canonical ordering is the default.
+    come first), so det X is the sign of i -> position of a_i when that map
+    is a bijection, 0 otherwise.  Backtracking over the rows skips nodes
+    already in the image, so only the support is visited.  In another column
+    ordering each determinant gains that ordering's parity as a factor.
     """
-    if ordering is None:
-        ordering = descendant_sets(t)
-    position = {s: p for p, s in enumerate(ordering)}
+    position = {s: p for p, s in enumerate(descendant_sets(t))}
     lca = [[0] * t.genus for _ in range(t.genus)]
 
     def walk(node) -> tuple[int, ...]:

@@ -10,9 +10,9 @@ canonical node ordering is always the root.  The sets compared are always
 disjoint (a laminar family), so the key agrees with a lexicographic
 tie-break on the sorted element lists.
 
-The builder, the merge construction and the rewriting engine hold a family as
-int bitmasks, bit x for label x; on a laminar family the key (-popcount,
-lowest set bit) is the same order.  Public functions take and return sets.
+Enumeration, the builder, the merge construction and the rewriting engine hold
+label sets as int bitmasks, bit x for label x; on a laminar family the key
+(-popcount, lowest set bit) is the same order.  Public functions use sets.
 """
 
 from __future__ import annotations
@@ -266,55 +266,55 @@ def is_balanced(t: Tree) -> bool:
 def enumerate_trees(g: int) -> list[Tree]:
     """All genus-g trees, in lexicographic order of their canonical strings.
 
-    There are (2g-5)!! of them.  Built by leaf insertion: every tree on
-    leaves 1..m arises uniquely by attaching leaf m at one of the 2m-3 nodes
-    of a tree on leaves 1..m-1.
+    There are (2g-5)!! of them: a root joins a canonical tree on each part
+    of each split of the labels into two nonempty parts, and so on down.
     """
-    return _enumerate(g, leaves_only=False)
+    return _enumerate(g, balanced=False)
 
 
 def enumerate_balanced(g: int) -> list[Tree]:
     """The (g-2)! balanced trees of genus g, same order as enumerate_trees.
 
-    Built by attaching leaf m next to a leaf only.  Paired with an internal
-    node, the largest label m would leave that node's two smallest labels in
-    one child; paired with a leaf, it changes no ancestor's two smallest
-    labels.  So a tree is balanced iff it grows this way from a balanced one.
+    Built by the splits that separate the two smallest labels only: a node is
+    balanced exactly when its two smallest labels lie in different children.
     """
-    return _enumerate(g, leaves_only=True)
+    return _enumerate(g, balanced=True)
 
 
-def _enumerate(g: int, leaves_only: bool) -> list[Tree]:
+def _enumerate(g: int, balanced: bool) -> list[Tree]:
     if g < 3:
         raise TreeError(f"genus must be at least 3, got {g}")
-    shapes: dict[str, Node] = {"(1,2)": (1, 2)}
-    for m in range(3, g):
-        shapes = {text: grown for shape in shapes.values()
-                  for grown, text in _insertions(shape, m, leaves_only)[3]}
-    return [Tree._trusted(shapes[text], g) for text in sorted(shapes)]
+    memo: dict[int, tuple[list[Node], list[str]]] = {1 << x: ([x], [str(x)]) for x in range(1, g)}
+    nodes, texts = _splits((1 << g) - 2, balanced, memo)
+    memo.clear()  # only the full mask's lists are sorted; drop the rest first
+    return [Tree._trusted(nodes[i], g) for i in sorted(range(len(texts)), key=texts.__getitem__)]
 
 
-def _insertions(node: Node, m: int,
-                leaves_only: bool) -> tuple[int, int, str, list[tuple[Node, str]]]:
-    """Size, smallest label and text of a canonical subtree, and each canonical
-    subtree (with its text) made by attaching leaf m at one of its nodes.
-
-    m exceeds every label, so the new node is (x, m) and each ancestor keeps
-    its smallest label; only a grown second child can overtake its sibling.
-    """
-    if isinstance(node, int):
-        text = str(node)
-        return 1, node, text, [((node, m), f"({text},{m})")]
-    na, la, ta, grown_a = _insertions(node[0], m, leaves_only)
-    nb, lb, tb, grown_b = _insertions(node[1], m, leaves_only)
-    text = f"({ta},{tb})"
-    out = [] if leaves_only else [((node, m), f"({text},{m})")]
-    out += [((a, node[1]), f"({t},{tb})") for a, t in grown_a]
-    if (-nb - 1, lb) < (-na, la):
-        out += [((b, node[0]), f"({t},{ta})") for b, t in grown_b]
-    else:
-        out += [((node[0], b), f"({ta},{t})") for b, t in grown_b]
-    return na + nb, min(la, lb), text, out
+def _splits(mask: int, balanced: bool,
+            memo: dict[int, tuple[list[Node], list[str]]]) -> tuple[list[Node], list[str]]:
+    """The canonical subtrees on the labels of `mask` and their texts, as
+    parallel lists (no (node, text) pairs for the garbage collector to scan).
+    B runs over the nonempty submasks of `rest` and A = mask ^ B keeps the
+    lowest label, so each split is met once; the larger part goes first, A on
+    a tie (the canonical key).  A balanced split puts the second-lowest in B."""
+    if (got := memo.get(mask)) is not None:
+        return got
+    rest = mask ^ (mask & -mask)
+    second = rest & -rest
+    nodes: list[Node] = []
+    texts: list[str] = []
+    sub = rest
+    while sub:
+        if not balanced or sub & second:
+            a = mask ^ sub
+            first, last = (a, sub) if a.bit_count() >= sub.bit_count() else (sub, a)
+            first_nodes, first_texts = _splits(first, balanced, memo)
+            last_nodes, last_texts = _splits(last, balanced, memo)
+            nodes += [(x, y) for x in first_nodes for y in last_nodes]
+            texts += [f"({x},{y})" for x in first_texts for y in last_texts]
+        sub = (sub - 1) & rest
+    memo[mask] = (nodes, texts)
+    return nodes, texts
 
 
 def _build(masks: Masks) -> Tree:

@@ -12,6 +12,7 @@ value other than 1 raises a DeprecationWarning.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -154,6 +155,10 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
     pool = relation_cases(g)
     draws = range(len(pool)) if g <= 5 else _sample_indices(len(pool), sample, seed)
 
+    # permuting columns multiplies a determinant by the permutation's sign, so
+    # each aligned determinant is a parity times a canonical one: once per tree
+    canonical = functools.lru_cache(maxsize=None)(_coordinates)
+
     def check_case(tree: Tree, pos: int) -> list[dict]:
         triple = rotation_triple(tree, pos)
         trees = [ot.tree for ot in triple.trees]
@@ -165,13 +170,13 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
         bad = []
         if is_cyclic_triple(*trees) is None:
             bad.append(witness("pattern"))
-        coords = [_coordinates(ot.tree, ot.ordering) for ot in triple.trees]
-        c1, c2, c3 = coords
-        failing = min((k for k in c1.keys() | c2.keys() | c3.keys()
-                       if c1.get(k, 0) + c2.get(k, 0) + c3.get(k, 0)), default=None)
+        signs = [ot.parity() for ot in triple.trees]
+        coords = [canonical(ot.tree) for ot in triple.trees]
+        failing = min((k for k in set().union(*coords)
+                       if sum(s * c.get(k, 0) for s, c in zip(signs, coords))), default=None)
         if failing is not None:
             bad.append({**witness("determinant-sum"), "k": list(failing),
-                        "dets": [c.get(failing, 0) for c in coords]})
+                        "dets": [s * c.get(failing, 0) for s, c in zip(signs, coords)]})
         return bad
 
     # one check per distinct draw, in order of first draw; bounded by the pool

@@ -45,6 +45,17 @@ class TestAgainstOracle:
     def test_balanced_equal_filtered_trees(self, g):
         assert enumerate_balanced(g) == [t for t in enumerate_trees(g) if is_balanced(t)]
 
+    def test_genus_9_texts_strictly_increase(self):
+        texts = [t.render() for t in enumerate_trees(9)]
+        assert len(texts) == 135135
+        assert all(a < b for a, b in zip(texts, texts[1:]))
+
+    def test_genus_9_balanced_equal_merge_construction(self):
+        """The merge construction is an oracle independent of the splits."""
+        built = sorted((build_balanced_tree(k) for k in k_sequences(9)), key=Tree.render)
+        assert len(built) == 5040
+        assert enumerate_balanced(9) == built
+
     @pytest.mark.parametrize("g", range(3, 8))
     def test_node_key_matches_sorted_tuple_key(self, g):
         for t in enumerate_trees(g):

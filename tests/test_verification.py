@@ -8,6 +8,7 @@ import braidcycles.rewrite as rewrite
 import braidcycles.verification as verification
 from braidcycles.decomposition import det, incidence_matrix, k_sequences
 from braidcycles.errors import DomainError
+from braidcycles.rewrite import rotation_triple
 from braidcycles.trees import enumerate_trees
 from braidcycles.verification import (
     SuiteReport,
@@ -18,6 +19,7 @@ from braidcycles.verification import (
     verify_duality,
     verify_relations,
 )
+from test_decomposition import det_by_permutation_expansion
 
 
 class TestCounts:
@@ -113,6 +115,30 @@ class TestRelations:
         assert report.passed and report.cases == 1000
         # 264 distinct draws out of a pool of 270
         assert len(calls) == len(set(calls)) == len(set(draws)) == 264
+
+    def test_one_coordinate_computation_per_distinct_tree(self, monkeypatch):
+        calls = []
+        coordinates = verification._coordinates
+
+        def counted(tree, k=None):
+            calls.append(tree)
+            return coordinates(tree, k=k)
+
+        monkeypatch.setattr(verification, "_coordinates", counted)
+        report = verify_relations(6, sample=1000, seed=0)
+        assert report.passed and report.cases == 1000
+        assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("g", (4, 5, 6))
+    def test_signed_canonical_coordinates_match_aligned_determinants(self, g):
+        """Each aligned determinant is the ordering's parity times the
+        tree's canonical coordinate, against the permutation expansion."""
+        for tree, pos in relation_cases(g):
+            for ot in rotation_triple(tree, pos).trees:
+                coords = verification._coordinates(ot.tree)
+                for k in k_sequences(g):
+                    matrix = incidence_matrix(k, ot.tree, ordering=ot.ordering)
+                    assert ot.parity() * coords.get(k, 0) == det_by_permutation_expansion(matrix)
 
     def test_repeated_failures_reported_per_draw(self, monkeypatch):
         # every case fails; a case drawn n times must be reported n times
