@@ -6,8 +6,9 @@ construction, the balanced trees.  Pairing a sequence against a tree is the
 determinant of a 0/1 incidence matrix: entry (i, j) records whether leaves
 k_i and i+1 are both enclosed by the tree's j-th node.  A tree's cycle
 decomposes over the balanced basis with exactly these determinants as
-coordinates.  Each determinant is a permutation sign (see _coordinates), so
-every coordinate lies in {-1, 0, +1}.
+coordinates.  Each determinant is a permutation sign of the lowest common
+ancestors, which the kernel _coordinates reads off the tree's canonical
+family of int bitmasks (see trees.py); every coordinate lies in {-1, 0, +1}.
 
 Sign conventions: a tree contributes its incidence columns in the canonical
 node ordering; the basis element attached to k uses the construction ordering
@@ -25,7 +26,8 @@ from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
 from .errors import DomainError
-from .trees import _CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, descendant_sets
+from .trees import (_CACHE_CAP, Masks, Tree, _bits, _build, _family, _labels, _mask_key,
+                    descendant_sets)
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -174,8 +176,9 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _coordinates(t: Tree, k: KSequence | None = None) -> dict[KSequence, int]:
-    """Every nonzero det(incidence_matrix(k, t)), keyed by k; only `k` if given.
+def _coordinates(family: Masks, k: KSequence | None = None) -> dict[KSequence, int]:
+    """Every nonzero det(incidence_matrix(k, t)), keyed by k, of the tree t
+    whose canonical mask family is `family`; only `k` if given.
 
     Row i of the incidence matrix marks the ancestors-or-self of the node
     a_i = LCA(k_i, i+1), so X = A.Z: A selects node a_i in row i and Z is the
@@ -185,28 +188,19 @@ def _coordinates(t: Tree, k: KSequence | None = None) -> dict[KSequence, int]:
     already in the image, so only the support is visited.  In another column
     ordering each determinant gains that ordering's parity as a factor.
     """
-    position = {s: p for p, s in enumerate(descendant_sets(t))}
-    lca = [[0] * t.genus for _ in range(t.genus)]
-
-    def walk(node) -> tuple[int, ...]:
-        # the node is the LCA of every left leaf with every right leaf
-        if isinstance(node, int):
-            return (node,)
-        left, right = walk(node[0]), walk(node[1])
-        p = position[frozenset(left + right)]
-        for a in left:
-            for b in right:
-                lca[a][b] = lca[b][a] = p
-        return left + right
-
-    walk(t.root)
-    m = t.genus - 2
-    # rows[i][a]: the values of k_{i+1} whose row selects the node at position a
+    m = len(family)
+    # rows[i][a]: the values of k_{i+1} whose row selects the node at position a.
+    # LCA(x, i+1) is the deepest ancestor of leaf i+1 holding x, and ancestors
+    # come first in the canonical order, so each x < i+1 goes to the last one.
     rows: list[dict[int, list[int]]] = []
     for i in range(1, m + 1):
+        leaf = 1 << (i + 1)
+        free = leaf - 2 if k is None else 1 << k[i - 1]  # the labels not yet placed
         choices: dict[int, list[int]] = {}
-        for ki in range(1, i + 1) if k is None else (k[i - 1],):
-            choices.setdefault(lca[ki][i + 1], []).append(ki)
+        for p in range(m - 1, -1, -1):
+            if family[p] & leaf and family[p] & free:
+                choices[p] = _bits(family[p] & free)
+                free &= ~family[p]
         rows.append(choices)
     image: list[int] = []
     coords: dict[KSequence, int] = {}
@@ -227,15 +221,11 @@ def _coordinates(t: Tree, k: KSequence | None = None) -> dict[KSequence, int]:
     return coords
 
 
-def _pair_sign(g: int) -> int:
-    return -1 if math.comb(g - 2, 2) % 2 else 1
-
-
 def pair(k: Sequence[int], t: Tree) -> int:
     """Pairing of the k-th top-degree basis monomial against the tree's cycle:
     (-1)^C(g-2,2) times the incidence determinant in canonical ordering."""
     k = _validate_for(k, t)
-    return _pair_sign(t.genus) * _coordinates(t, k=k).get(k, 0)
+    return (-1) ** math.comb(t.genus - 2, 2) * _coordinates(_family(t), k=k).get(k, 0)
 
 
 def pair_class(c: CohomologyClass, t: Tree) -> int:
@@ -280,7 +270,7 @@ class CycleDecomposition:
 def decompose(t: Tree) -> CycleDecomposition:
     """Expand a tree's cycle over the balanced basis: the incidence
     determinants, as LCA permutation signs over the support."""
-    return CycleDecomposition.from_dict(t.genus, _coordinates(t))
+    return CycleDecomposition.from_dict(t.genus, _coordinates(_family(t)))
 
 
 def duality_table(g: int) -> list[list[int]]:
@@ -288,7 +278,7 @@ def duality_table(g: int) -> list[list[int]]:
     canonical column ordering.  Diagonal entries are the parities epsilon(k);
     off-diagonal entries vanish."""
     ks = k_sequences(g)
-    columns = [_coordinates(build_balanced_tree(k)) for k in ks]
+    columns = [_coordinates(_family(build_balanced_tree(k))) for k in ks]
     return [[col.get(kp, 0) for col in columns] for kp in ks]
 
 

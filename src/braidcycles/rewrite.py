@@ -31,7 +31,7 @@ from .arnold import perm_sign_of
 from .decomposition import (CycleDecomposition, KSequence, _construct, balanced_tree_to_k,
                             epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
-from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, _masks,
+from .trees import (_CACHE_CAP, Masks, Tree, _build, _family, _labels, _mask_key,
                     descendant_sets, is_balanced)
 
 TraceHook = Callable[[dict], None]
@@ -94,32 +94,37 @@ def is_cyclic_triple(t1: Tree, t2: Tree, t3: Tree) -> CyclicTriple | None:
     """
     if not (t1.genus == t2.genus == t3.genus):
         raise DomainError("trees must have the same genus")
-    fams = [set(descendant_sets(t)) for t in (t1, t2, t3)]
-    core = fams[0] & fams[1] & fams[2]
-    extras = [fam - core for fam in fams]
+    f1 = _family(t1)
+    if (blocks := _cyclic_blocks(f1, _family(t2), _family(t3))) is None:
+        return None
+    b1, b2, b3 = blocks
+    ord1 = tuple(map(_labels, f1))
+    s = f1.index(b2 | b3) + 1
+    # swapping d1 = b2|b3 for d gives core | {d}, exactly the node sets of t
+    aligned = tuple(
+        OrderedTree._trusted(t, ord1[:s - 1] + (_labels(d),) + ord1[s:])
+        for t, d in ((t1, b2 | b3), (t2, b1 | b3), (t3, b1 | b2))
+    )
+    return CyclicTriple(trees=aligned, blocks=(_labels(b1), _labels(b2), _labels(b3)), s=s,
+                        t=f1.index(b1 | b2 | b3) + 1)
+
+
+def _cyclic_blocks(f1: Masks, f2: Masks, f3: Masks) -> tuple[int, int, int] | None:
+    """The blocks (b1, b2, b3) of three mask families that agree except at
+    one mask each, d1 = b2|b3, d2 = b1|b3 and d3 = b1|b2, where b1|b2|b3 is
+    a common mask; None if the families do not fit that pattern."""
+    core = set(f1).intersection(f2, f3)
+    extras = [set(f).difference(core) for f in (f1, f2, f3)]
     if any(len(e) != 1 for e in extras):
         return None
-    d1, d2, d3 = (next(iter(e)) for e in extras)
-    if len({d1, d2, d3}) != 3:
-        return None
+    d1, d2, d3 = (e.pop() for e in extras)
+    # two equal d's make two blocks equal, so empty or overlapping
     b1, b2, b3 = d2 & d3, d1 & d3, d1 & d2
-    if not (b1 and b2 and b3):
+    if not (b1 and b2 and b3) or b1 & b2 or b1 & b3 or b2 & b3:
         return None
-    if b1 & b2 or b1 & b3 or b2 & b3:
+    if d1 != b2 | b3 or d2 != b1 | b3 or d3 != b1 | b2 or b1 | b2 | b3 not in core:
         return None
-    if d1 != b2 | b3 or d2 != b1 | b3 or d3 != b1 | b2:
-        return None
-    union = b1 | b2 | b3
-    if union not in core:
-        return None
-    ord1 = descendant_sets(t1)
-    s = ord1.index(d1) + 1
-    # swapping d1 for d gives core | {d}, exactly the node sets of t
-    aligned = tuple(
-        OrderedTree._trusted(t, ord1[:s - 1] + (d,) + ord1[s:])
-        for t, d in ((t1, d1), (t2, d2), (t3, d3))
-    )
-    return CyclicTriple(trees=aligned, blocks=(b1, b2, b3), s=s, t=ord1.index(union) + 1)
+    return b1, b2, b3
 
 
 def _children(masks: Masks, i: int) -> tuple[int, int]:
@@ -168,19 +173,15 @@ def rotate(t: Tree, v: int) -> tuple[Tree, Tree]:
 
 
 def rotation_triple(t: Tree, v: int) -> CyclicTriple:
-    """Rotate at v and package {t, T', T''} with orderings aligned to t.
+    """Rotate at v and package {t, T', T''} with orderings aligned to t, as
+    is_cyclic_triple matches them; the blocks come out as (v2, u2, u1).
 
     The rotated node keeps its position; only its descendant set changes.
     """
-    sets = descendant_sets(t)
-    masks = _masks(sets)
+    masks = _family(t)
     i, u1, u2, v2 = _rotation(masks, v)
-    entries = (OrderedTree._trusted(t, sets),) + tuple(
-        OrderedTree._trusted(_build(_replaced(masks, i, new)[0]),
-                             sets[:i] + (_labels(new),) + sets[i + 1:])
-        for new in (u1 | v2, v2 | u2))
-    return CyclicTriple(trees=entries, blocks=(_labels(v2), _labels(u2), _labels(u1)),
-                        s=i + 1, t=v)
+    return is_cyclic_triple(t, *(_build(_replaced(masks, i, new)[0])
+                                 for new in (u1 | v2, v2 | u2)))
 
 
 def _deepest_unbalanced(masks: Masks) -> int | None:
@@ -226,7 +227,7 @@ def _balanced_term(k: KSequence) -> tuple[str, Tree, int]:
 def find_unbalanced(t: Tree) -> int | None:
     """Canonical position of a deepest unbalanced node (smallest position on
     ties), or None when the tree is balanced."""
-    return _deepest_unbalanced(_masks(descendant_sets(t)))
+    return _deepest_unbalanced(_family(t))
 
 
 @dataclass(frozen=True)
@@ -350,4 +351,4 @@ def _reduce(t: Tree, trace: TraceHook | None = None,
             memo[masks] = result
         return result
 
-    return reduce_family(_masks(descendant_sets(t)))
+    return reduce_family(_family(t))

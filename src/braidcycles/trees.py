@@ -10,9 +10,9 @@ canonical node ordering is always the root.  The sets compared are always
 disjoint (a laminar family), so the key agrees with a lexicographic
 tie-break on the sorted element lists.
 
-Enumeration, the builder, the merge construction and the rewriting engine hold
-label sets as int bitmasks, bit x for label x; on a laminar family the key
-(-popcount, lowest set bit) is the same order.  Public functions use sets.
+Internally label sets are int bitmasks, bit x for label x; on a laminar family
+the key (-popcount, lowest set bit) is the same order.  _family is the one
+walk from a tree to its canonical family; public functions return sets.
 """
 
 from __future__ import annotations
@@ -38,13 +38,8 @@ Masks = tuple[int, ...]  # a canonical family as bitmasks, bit x for label x
 _CACHE_CAP = 1 << 15
 
 
-def _set_sort_key(s: frozenset[int] | set[int]) -> tuple[int, int]:
-    """Canonical key of a descendant set: size descending, then smallest label."""
-    return (-len(s), min(s))
-
-
 def _mask_key(m: int) -> tuple[int, int]:
-    """_set_sort_key of a node mask: popcount descending, then lowest set bit."""
+    """Canonical key of a node mask: popcount descending, then lowest set bit."""
     return (-m.bit_count(), m & -m)
 
 
@@ -52,8 +47,19 @@ def _masks(sets: Iterable[frozenset[int]]) -> Masks:
     return tuple(sum(1 << x for x in s) for s in sets)
 
 
+def _bits(m: int) -> list[int]:
+    """The labels of a mask, lowest first."""
+    labels = []
+    while m:
+        labels.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return labels
+
+
+@functools.lru_cache(maxsize=_CACHE_CAP)
 def _labels(m: int) -> frozenset[int]:
-    return frozenset(x for x in range(m.bit_length()) if m >> x & 1)
+    """The label set of a mask, one shared frozenset per mask (2^(g-1) of them)."""
+    return frozenset(_bits(m))
 
 
 def _canonicalize(node: Node, leaves: list[int]) -> tuple[Node, int, int]:
@@ -211,6 +217,20 @@ def render_tree(t: Tree) -> str:
     return t.render()
 
 
+def _family(t: Tree) -> Masks:
+    """The canonical mask family of a tree, in one walk of its root."""
+    masks: list[int] = []
+
+    def walk(node: Node) -> int:
+        if isinstance(node, int):
+            return 1 << node
+        masks.append(walk(node[0]) | walk(node[1]))
+        return masks[-1]
+
+    walk(t.root)
+    return tuple(sorted(masks, key=_mask_key))
+
+
 @functools.lru_cache(maxsize=_CACHE_CAP)
 def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     """Descendant leaf sets of the internal nodes, in canonical ordering.
@@ -218,35 +238,25 @@ def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     Ordering: size descending, ties broken by the smallest element.  The
     first entry is always the full set {1..g-1}.
     """
-    sets: list[frozenset[int]] = []
-
-    def walk(node: Node) -> frozenset[int]:
-        if isinstance(node, int):
-            return frozenset((node,))
-        leaves = walk(node[0]) | walk(node[1])
-        sets.append(leaves)
-        return leaves
-
-    walk(t.root)
-    sets.sort(key=_set_sort_key)
-    return tuple(sets)
+    return tuple(map(_labels, _family(t)))
 
 
-def _node_report(sets: tuple[frozenset[int], ...]) -> list[tuple[int, bool]]:
-    """(depth, balanced) per position of a canonical family.  A set's
-    ancestors are the earlier sets holding its smallest label lo; the first
-    later set holding lo is the child holding lo, unless that is a leaf."""
+def _node_report(masks: Masks) -> list[tuple[int, bool]]:
+    """(depth, balanced) per position of a canonical family.  A mask's
+    ancestors are the earlier masks holding its lowest bit lo; the first later
+    mask holding lo is the child holding lo, unless that is a leaf."""
     report = []
-    for i, s in enumerate(sets):
-        lo, second = sorted(s)[:2]
-        child = next((c for c in sets[i + 1:] if lo in c), ())
-        report.append((sum(lo in a for a in sets[:i]), second not in child))
+    for i, s in enumerate(masks):
+        lo = s & -s
+        second = (s ^ lo) & -(s ^ lo)
+        child = next((c for c in masks[i + 1:] if c & lo), 0)
+        report.append((sum(a & lo != 0 for a in masks[:i]), not child & second))
     return report
 
 
 def node_depths(t: Tree) -> tuple[int, ...]:
     """Depth (edge distance from the root) per canonical node position."""
-    return tuple(depth for depth, _ in _node_report(descendant_sets(t)))
+    return tuple(depth for depth, _ in _node_report(_family(t)))
 
 
 def balance_report(t: Tree) -> tuple[bool, ...]:
@@ -255,7 +265,7 @@ def balance_report(t: Tree) -> tuple[bool, ...]:
     A node is balanced when its two smallest descendant leaf labels lie in
     different child subtrees.
     """
-    return tuple(ok for _, ok in _node_report(descendant_sets(t)))
+    return tuple(ok for _, ok in _node_report(_family(t)))
 
 
 def is_balanced(t: Tree) -> bool:
@@ -364,5 +374,5 @@ def tree_to_json(t: Tree) -> dict:
     return {
         "g": t.genus,
         "newick": t.render(),
-        "nodes": [sorted(s) for s in descendant_sets(t)],
+        "nodes": [_bits(m) for m in _family(t)],
     }

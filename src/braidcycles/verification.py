@@ -4,10 +4,13 @@ Each suite checks one family of identities by enumeration (exhaustively at
 small genus, by seeded sampling above) and returns a SuiteReport whose
 failures, if any, carry a minimal witness replayable through the CLI.
 Sampling uses random.Random (the stdlib Mersenne Twister), so reports are
-bit-for-bit reproducible for a given (parameter, sample, seed).  Cases run
-serially: every check holds the GIL, so worker threads only slowed suites
-down.  The `threads` arguments are deprecated: they have no effect, and a
-value other than 1 raises a DeprecationWarning.
+bit-for-bit reproducible for a given (parameter, sample, seed).  The
+relations suite runs on canonical mask families: it rotates as the rewriting
+engine does, signs each canonical coordinate by the rotation's ordering
+parity, and builds trees only for failure witnesses.  Cases run serially:
+every check holds the GIL, so worker threads only slowed suites down.  The
+`threads` arguments are deprecated: they have no effect, and a value other
+than 1 raises a DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Callable
 from .arnold import perm_sign_of, rank, straighten, w
 from .decomposition import (
     CycleDecomposition,
+    KSequence,
     _coordinates,
     build_balanced_tree,
     decompose,
@@ -33,8 +37,8 @@ from .decomposition import (
     unit_triangular_certificate,
 )
 from .errors import DomainError
-from .rewrite import CyclicTriple, _reduce, is_cyclic_triple, rotation_triple
-from .trees import Tree, descendant_sets, enumerate_balanced, enumerate_trees
+from .rewrite import CyclicTriple, _cyclic_blocks, _reduce, _replaced, _rotation
+from .trees import _CACHE_CAP, Tree, _build, _family, enumerate_balanced, enumerate_trees
 
 
 @dataclass
@@ -67,14 +71,6 @@ def _warn_threads(threads: int) -> None:
                       DeprecationWarning, stacklevel=3)
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
     """Tree and balanced-tree counts against the closed formulas."""
     if not 3 <= g <= ceiling:
@@ -82,7 +78,7 @@ def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
     start = time.perf_counter()
     failures = []
     checks = (
-        ("trees", len(enumerate_trees(g)), _double_factorial(2 * g - 5)),
+        ("trees", len(enumerate_trees(g)), math.prod(range(2 * g - 5, 0, -2))),  # (2g-5)!!
         ("balanced", len(enumerate_balanced(g)), math.factorial(g - 2)),
     )
     for name, got, expected in checks:
@@ -107,7 +103,7 @@ def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
         k = ks[col]
         tree = trees[col]
         bad = []
-        coords = _coordinates(tree)
+        coords = _coordinates(_family(tree))
         eps = epsilon(k)
         for row in sorted(coords.keys() | {k}):
             expected = eps if row == k else 0
@@ -133,8 +129,8 @@ def relation_cases(g: int) -> list[tuple[Tree, int]]:
     """Every (tree, node) pair eligible for rotation at genus g."""
     return [(t, pos)
             for t in enumerate_trees(g)
-            for pos, s in enumerate(descendant_sets(t), start=1)
-            if len(s) >= 3]
+            for pos, s in enumerate(_family(t), start=1)
+            if s.bit_count() >= 3]
 
 
 def verify_relations(g: int, sample: int = 10000, seed: int = 0,
@@ -155,28 +151,30 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
     pool = relation_cases(g)
     draws = range(len(pool)) if g <= 5 else _sample_indices(len(pool), sample, seed)
 
-    # permuting columns multiplies a determinant by the permutation's sign, so
-    # each aligned determinant is a parity times a canonical one: once per tree
-    canonical = functools.lru_cache(maxsize=None)(_coordinates)
+    # an aligned determinant is the sign _replaced returns times the canonical
+    # one, so coordinates are computed once per family, in a bounded cache
+    canonical = functools.lru_cache(maxsize=_CACHE_CAP)(_coordinates)
 
     def check_case(tree: Tree, pos: int) -> list[dict]:
-        triple = rotation_triple(tree, pos)
-        trees = [ot.tree for ot in triple.trees]
+        family = _family(tree)
+        i, u1, u2, v2 = _rotation(family, pos)
+        entries = ((family, 1), _replaced(family, i, u1 | v2), _replaced(family, i, v2 | u2))
 
         def witness(check: str) -> dict:
             return {"check": check, "tree": tree.render(), "node": pos,
-                    "triple": [t.render() for t in trees]}
+                    "triple": [_build(f).render() for f, _ in entries]}
 
         bad = []
-        if is_cyclic_triple(*trees) is None:
+        if _cyclic_blocks(*(f for f, _ in entries)) is None:
             bad.append(witness("pattern"))
-        signs = [ot.parity() for ot in triple.trees]
-        coords = [canonical(ot.tree) for ot in triple.trees]
-        failing = min((k for k in set().union(*coords)
-                       if sum(s * c.get(k, 0) for s, c in zip(signs, coords))), default=None)
+        total: dict[KSequence, int] = {}
+        for f, sign in entries:
+            for k, c in canonical(f).items():
+                total[k] = total.get(k, 0) + sign * c
+        failing = min((k for k, c in total.items() if c), default=None)
         if failing is not None:
             bad.append({**witness("determinant-sum"), "k": list(failing),
-                        "dets": [s * c.get(failing, 0) for s, c in zip(signs, coords)]})
+                        "dets": [sign * canonical(f).get(failing, 0) for f, sign in entries]})
         return bad
 
     # one check per distinct draw, in order of first draw; bounded by the pool

@@ -1,9 +1,10 @@
 """The int-bitmask form of canonical node-set families against frozensets.
 
-The builder, the merge construction and the rewriting engine hold a family as
-int bitmasks, bit x for label x, ordered by (-popcount, lowest set bit).  The
-oracles here are the frozenset key `_set_sort_key`, `descendant_sets` and a
-test-local merge construction over frozensets and nested pairs.
+The builder, the merge construction, the rewriting engine, the coordinate
+kernel and `descendant_sets` hold a family as int bitmasks, bit x for label x,
+ordered by (-popcount, lowest set bit).  The oracles here are test-local: the
+frozenset key, a walk that collects frozensets, depths and balance flags from
+nested pairs, and a merge construction over frozensets and nested pairs.
 """
 
 import itertools
@@ -23,10 +24,33 @@ from braidcycles.trees import (
     _labels,
     _mask_key,
     _masks,
-    _set_sort_key,
+    balance_report,
     descendant_sets,
     enumerate_trees,
+    node_depths,
 )
+
+
+def _set_sort_key(s):
+    """Canonical key of a descendant set: size descending, then smallest label."""
+    return (-len(s), min(s))
+
+
+def walk_report(t):
+    """(descendant set, depth, balanced) per internal node in canonical order,
+    collected by walking the nested pairs of the root."""
+    report = []
+
+    def walk(node, depth):
+        if isinstance(node, int):
+            return frozenset((node,))
+        a, b = walk(node[0], depth + 1), walk(node[1], depth + 1)
+        lo, second = sorted(a | b)[:2]
+        report.append((a | b, depth, (lo in a) != (second in a)))
+        return a | b
+
+    walk(t.root, 0)
+    return sorted(report, key=lambda entry: _set_sort_key(entry[0]))
 
 
 def frozenset_construction(k):
@@ -59,6 +83,14 @@ class TestMaskFamilies:
             assert sorted(shuffled, key=_mask_key) == list(masks)
             for (a, ma), (b, mb) in itertools.combinations(zip(sets, masks), 2):
                 assert (_mask_key(ma) < _mask_key(mb)) == (_set_sort_key(a) < _set_sort_key(b))
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_family_reports_match_walk(self, g):
+        for t in enumerate_trees(g):
+            sets, depths, flags = zip(*walk_report(t))
+            assert descendant_sets(t) == sets
+            assert node_depths(t) == depths
+            assert balance_report(t) == flags
 
     @pytest.mark.parametrize("g", range(3, 9))
     def test_masks_convert_back_to_sets(self, g):

@@ -22,7 +22,8 @@ from braidcycles.rewrite import (
     rotate,
     rotation_triple,
 )
-from braidcycles.trees import _masks, descendant_sets, enumerate_balanced, enumerate_trees, parse_tree
+from braidcycles.trees import (_family, _labels, _masks, descendant_sets, enumerate_balanced,
+                               enumerate_trees, parse_tree)
 
 
 def eligible_nodes(t):
@@ -118,6 +119,43 @@ class TestCyclicTriple:
             triple = is_cyclic_triple(a, b, c)
             assert triple is not None
             assert set(triple.blocks) == {frozenset({1}), frozenset({2}), frozenset({3})}
+
+
+class TestOnFamilies:
+    """The mask-family forms that verify_relations runs on, against the
+    frozenset forms of the public functions and the rotation oracle."""
+
+    @pytest.mark.parametrize("g", range(4, 8))
+    def test_replaced_sign_is_ordering_parity(self, g):
+        for t in enumerate_trees(g):
+            family = _family(t)
+            for v in eligible_nodes(t):
+                i, u1, u2, v2 = rewrite_module._rotation(family, v)
+                signs = [1] + [rewrite_module._replaced(family, i, new)[1]
+                               for new in (u1 | v2, v2 | u2)]
+                assert signs == [ot.parity() for ot in rotation_triple(t, v).trees]
+
+    @pytest.mark.parametrize("g", (4, 5, 6))
+    def test_cyclic_blocks_on_every_rotation_triple(self, g):
+        for t in enumerate_trees(g):
+            for v in eligible_nodes(t):
+                trees, orderings, blocks, s, _ = rotation_oracle.rotation_triple(t, v)
+                b1, b2, b3 = rewrite_module._cyclic_blocks(*map(_family, trees))
+                assert tuple(map(_labels, (b1, b2, b3))) == blocks
+                changed = tuple(map(_labels, (b2 | b3, b3 | b1, b1 | b2)))
+                assert changed == tuple(o[s - 1] for o in orderings)
+                triple = is_cyclic_triple(*trees)
+                assert (triple.blocks, triple.s) == (blocks, s)
+
+    @pytest.mark.parametrize("texts", (
+        ("((1,2),3)",) * 3,
+        ("((1,2),3)", "((1,2),3)", "((1,3),2)"),
+        ("(((1,2),3),4)", "(((1,4),3),2)", "(((2,3),4),1)"),
+    ), ids=("identical", "two-copies", "two-nodes"))
+    def test_cyclic_blocks_rejects_what_is_cyclic_triple_rejects(self, texts):
+        trees = [parse_tree(text) for text in texts]
+        assert is_cyclic_triple(*trees) is None
+        assert rewrite_module._cyclic_blocks(*map(_family, trees)) is None
 
 
 class TestDeterminantIdentity:

@@ -5,11 +5,12 @@ from collections import Counter
 import pytest
 
 import braidcycles.rewrite as rewrite
+import braidcycles.trees as trees_module
 import braidcycles.verification as verification
 from braidcycles.decomposition import det, incidence_matrix, k_sequences
 from braidcycles.errors import DomainError
 from braidcycles.rewrite import rotation_triple
-from braidcycles.trees import enumerate_trees
+from braidcycles.trees import _family, enumerate_trees
 from braidcycles.verification import (
     SuiteReport,
     relation_cases,
@@ -87,8 +88,8 @@ class TestRelations:
         # gets coordinate 1 at the sequences ending in their largest value
         monkeypatch.setattr(
             verification, "_coordinates",
-            lambda tree, ordering=None: {k: 1 for k in k_sequences(tree.genus)
-                                         if k[-1] == len(k)})
+            lambda masks, k=None: {k: 1 for k in k_sequences(masks[0].bit_count() + 1)
+                                   if k[-1] == len(k)})
         report = verify_relations(4)
         assert not report.passed
         witness = report.failures[0]
@@ -103,13 +104,13 @@ class TestRelations:
 
     def test_each_distinct_draw_checked_once(self, monkeypatch):
         calls = []
-        rotation_triple = verification.rotation_triple
+        rotation = verification._rotation
 
-        def counted(tree, pos):
-            calls.append((tree, pos))
-            return rotation_triple(tree, pos)
+        def counted(family, pos):
+            calls.append((family, pos))
+            return rotation(family, pos)
 
-        monkeypatch.setattr(verification, "rotation_triple", counted)
+        monkeypatch.setattr(verification, "_rotation", counted)
         report = verify_relations(6, sample=1000, seed=0)
         draws = verification._sample_indices(len(relation_cases(6)), 1000, 0)
         assert report.passed and report.cases == 1000
@@ -120,9 +121,9 @@ class TestRelations:
         calls = []
         coordinates = verification._coordinates
 
-        def counted(tree, k=None):
-            calls.append(tree)
-            return coordinates(tree, k=k)
+        def counted(family, k=None):
+            calls.append(family)
+            return coordinates(family, k=k)
 
         monkeypatch.setattr(verification, "_coordinates", counted)
         report = verify_relations(6, sample=1000, seed=0)
@@ -135,15 +136,25 @@ class TestRelations:
         tree's canonical coordinate, against the permutation expansion."""
         for tree, pos in relation_cases(g):
             for ot in rotation_triple(tree, pos).trees:
-                coords = verification._coordinates(ot.tree)
+                coords = verification._coordinates(_family(ot.tree))
                 for k in k_sequences(g):
                     matrix = incidence_matrix(k, ot.tree, ordering=ot.ordering)
                     assert ot.parity() * coords.get(k, 0) == det_by_permutation_expansion(matrix)
 
+    def test_builds_no_tree_when_passing(self, monkeypatch):
+        # the suite runs on mask families; trees are built for witnesses only
+        def tree_built(*args, **kwargs):
+            raise AssertionError("verify_relations built a tree")
+
+        for module in (trees_module, rewrite, verification):
+            monkeypatch.setattr(module, "_build", tree_built)
+        assert verify_relations(5).passed
+        assert verify_relations(7, sample=300, seed=1).passed
+
     def test_repeated_failures_reported_per_draw(self, monkeypatch):
         # every case fails; a case drawn n times must be reported n times
         monkeypatch.setattr(verification, "_coordinates",
-                            lambda tree, ordering=None: {(1,) * (tree.genus - 2): 1})
+                            lambda masks, k=None: {(1,) * (masks[0].bit_count() - 1): 1})
         report = verify_relations(6, sample=500, seed=3)
         pool = relation_cases(6)
         draws = verification._sample_indices(len(pool), 500, 3)
@@ -224,10 +235,10 @@ class TestVectorizedIncidence:
     """The sign kernel the verifiers call must agree with the scalar
     incidence-matrix determinants, exhaustively over every tree and k."""
 
-    @pytest.mark.parametrize("g", (3, 4, 5))
+    @pytest.mark.parametrize("g", (3, 4, 5, 6))
     def test_stack_matches_scalar(self, g):
         for t in enumerate_trees(g):
-            coords = verification._coordinates(t)
+            coords = verification._coordinates(_family(t))
             for k in k_sequences(g):
                 assert coords.get(k, 0) == det(incidence_matrix(k, t))
             assert set(coords.values()) <= {-1, 1}
