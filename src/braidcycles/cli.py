@@ -17,7 +17,7 @@ from .arnold import format_class, parse_expression
 from .decomposition import decompose, pair, validate_k
 from .errors import DomainError
 from .rewrite import reduce_to_balanced
-from .trees import enumerate_balanced, enumerate_trees, parse_tree, tree_to_json
+from .trees import _tree_lists, enumerate_balanced, enumerate_trees, parse_tree, tree_to_json
 from .verification import SUITES
 
 _SAMPLE_DEFAULTS = {"relations": 10000, "arnold": 1000}
@@ -97,17 +97,15 @@ def _parse_k(text: str) -> tuple[int, ...]:
 
 
 def _cmd_trees(args) -> int:
-    trees = enumerate_balanced(args.g) if args.balanced else enumerate_trees(args.g)
     if args.count:
-        if args.format == "json":
-            print(_dump({"g": args.g, "balanced": args.balanced, "count": len(trees)}))
-        else:
-            print(len(trees))
+        count = len(_tree_lists(args.g, args.balanced)[1])
+        print(_dump({"g": args.g, "balanced": args.balanced, "count": count})
+              if args.format == "json" else count)
     elif args.format == "json":
+        trees = enumerate_balanced(args.g) if args.balanced else enumerate_trees(args.g)
         print(_dump([tree_to_json(t) for t in trees]))
     else:
-        for t in trees:
-            print(t.render())
+        print("\n".join(sorted(_tree_lists(args.g, args.balanced)[1])))
     return 0
 
 

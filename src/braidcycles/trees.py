@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -30,6 +31,9 @@ Node = Union[int, tuple]
 # parse_tree, Tree and Tree.from_node refuse deeper nesting before any
 # recursion starts; a genus-g tree nests at most g-2 deep, far below this.
 MAX_DEPTH = 100
+
+# The most trees one enumeration builds: the (2g-5)!! trees of genus 10.
+MAX_TREES = 2_027_025
 
 Masks = tuple[int, ...]  # a canonical family as bitmasks, bit x for label x
 
@@ -292,12 +296,25 @@ def enumerate_balanced(g: int) -> list[Tree]:
 
 
 def _enumerate(g: int, balanced: bool) -> list[Tree]:
+    nodes, texts = _tree_lists(g, balanced)
+    return [Tree._trusted(nodes[i], g) for i in sorted(range(len(texts)), key=texts.__getitem__)]
+
+
+def _tree_lists(g: int, balanced: bool) -> tuple[list[Node], list[str]]:
+    """The canonical roots and texts of the genus-g trees, or of the balanced
+    ones, as unsorted parallel lists; refused if over MAX_TREES trees."""
     if g < 3:
         raise TreeError(f"genus must be at least 3, got {g}")
+    if (count := _tree_count(g, balanced)) > MAX_TREES:
+        raise TreeError(f"genus {g} has {count} {'balanced ' * balanced}trees, "
+                        f"over the enumeration budget of {MAX_TREES}")
     memo: dict[int, tuple[list[Node], list[str]]] = {1 << x: ([x], [str(x)]) for x in range(1, g)}
-    nodes, texts = _splits((1 << g) - 2, balanced, memo)
-    memo.clear()  # only the full mask's lists are sorted; drop the rest first
-    return [Tree._trusted(nodes[i], g) for i in sorted(range(len(texts)), key=texts.__getitem__)]
+    return _splits((1 << g) - 2, balanced, memo)
+
+
+def _tree_count(g: int, balanced: bool) -> int:
+    """The closed formula: (g-2)! balanced trees, (2g-5)!! trees in all."""
+    return math.factorial(g - 2) if balanced else math.prod(range(2 * g - 5, 0, -2))
 
 
 def _splits(mask: int, balanced: bool,

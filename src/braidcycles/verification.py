@@ -16,7 +16,6 @@ than 1 raises a DeprecationWarning.
 from __future__ import annotations
 
 import functools
-import math
 import random
 import time
 import warnings
@@ -38,7 +37,8 @@ from .decomposition import (
 )
 from .errors import DomainError
 from .rewrite import CyclicTriple, _cyclic_blocks, _reduce, _replaced, _rotation
-from .trees import _CACHE_CAP, Tree, _build, _family, enumerate_balanced, enumerate_trees
+from .trees import (_CACHE_CAP, Masks, Tree, _build, _family, _tree_count, _tree_lists,
+                    enumerate_trees)
 
 
 @dataclass
@@ -77,11 +77,9 @@ def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
         raise DomainError(f"genus {g} outside configured range 3..{ceiling}")
     start = time.perf_counter()
     failures = []
-    checks = (
-        ("trees", len(enumerate_trees(g)), math.prod(range(2 * g - 5, 0, -2))),  # (2g-5)!!
-        ("balanced", len(enumerate_balanced(g)), math.factorial(g - 2)),
-    )
-    for name, got, expected in checks:
+    checks = (("trees", False), ("balanced", True))
+    for name, balanced in checks:
+        got, expected = len(_tree_lists(g, balanced)[1]), _tree_count(g, balanced)
         if got != expected:
             failures.append({"check": name, "g": g, "got": got, "expected": expected})
     return SuiteReport("counts", g, len(checks), failures,
@@ -127,9 +125,14 @@ def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
 
 def relation_cases(g: int) -> list[tuple[Tree, int]]:
     """Every (tree, node) pair eligible for rotation at genus g."""
-    return [(t, pos)
-            for t in enumerate_trees(g)
-            for pos, s in enumerate(_family(t), start=1)
+    return [(t, pos) for t, _, pos in _relation_pool(g)]
+
+
+def _relation_pool(g: int) -> list[tuple[Tree, Masks, int]]:
+    """relation_cases with each tree's mask family, walked once per tree."""
+    return [(t, family, pos)
+            for t, family in ((t, _family(t)) for t in enumerate_trees(g))
+            for pos, s in enumerate(family, start=1)
             if s.bit_count() >= 3]
 
 
@@ -148,15 +151,14 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
         raise DomainError(f"genus must be at least 3, got {g}")
     _check_sample(sample)
     start = time.perf_counter()
-    pool = relation_cases(g)
+    pool = _relation_pool(g)
     draws = range(len(pool)) if g <= 5 else _sample_indices(len(pool), sample, seed)
 
     # an aligned determinant is the sign _replaced returns times the canonical
     # one, so coordinates are computed once per family, in a bounded cache
     canonical = functools.lru_cache(maxsize=_CACHE_CAP)(_coordinates)
 
-    def check_case(tree: Tree, pos: int) -> list[dict]:
-        family = _family(tree)
+    def check_case(tree: Tree, family: Masks, pos: int) -> list[dict]:
         i, u1, u2, v2 = _rotation(family, pos)
         entries = ((family, 1), _replaced(family, i, u1 | v2), _replaced(family, i, v2 | u2))
 

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import braidcycles.trees as trees_module
 from braidcycles import rewrite, verification
 from braidcycles.cli import main
 from braidcycles.decomposition import CycleDecomposition
+from braidcycles.trees import enumerate_balanced, enumerate_trees, tree_to_json
 from braidcycles.verification import SuiteReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,6 +54,54 @@ class TestTrees:
         code, _, err = run("trees", "--g", "2")
         assert code == 1
         assert "genus" in err
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    @pytest.mark.parametrize("balanced", (False, True))
+    def test_output_equals_library_trees(self, run, g, balanced):
+        trees = enumerate_balanced(g) if balanced else enumerate_trees(g)
+
+        def dump(payload):
+            return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+        expected = {
+            ("text", False): "".join(f"{t.render()}\n" for t in trees),
+            ("json", False): dump([tree_to_json(t) for t in trees]),
+            ("text", True): f"{len(trees)}\n",
+            ("json", True): dump({"g": g, "balanced": balanced, "count": len(trees)}),
+        }
+        for (fmt, count), out in expected.items():
+            flags = ["--balanced"] * balanced + ["--count"] * count
+            assert run("trees", "--g", str(g), "--format", fmt, *flags) == (0, out, "")
+
+    def test_count_and_text_listing_build_no_tree(self, run, monkeypatch):
+        def tree_built(*args, **kwargs):
+            raise AssertionError("a Tree was built")
+
+        monkeypatch.setattr(trees_module.Tree, "_trusted", tree_built)
+        assert run("trees", "--g", "7", "--count") == (0, "945\n", "")
+        assert run("trees", "--g", "7", "--balanced", "--count", "--format", "json") == (
+            0, '{"balanced":true,"count":120,"g":7}\n', "")
+        assert run("trees", "--g", "4") == (0, "((1,2),3)\n((1,3),2)\n((2,3),1)\n", "")
+        assert run("trees", "--g", "5", "--balanced")[:2] == (0, "".join(
+            f"{text}\n" for text in sorted(trees_module._tree_lists(5, True)[1])))
+        assert run("verify", "--suite", "counts", "--g", "6")[0] == 0
+
+    @pytest.mark.parametrize("command, g, flags", (
+        ("trees", 11, ("--count",)),
+        ("trees", 11, ("--format", "json")),
+        ("trees", 12, ("--balanced",)),
+        ("verify", 11, ("--suite", "crosspath")),
+        ("verify", 11, ("--suite", "relations")),
+    ))
+    def test_over_budget_exits_1_before_any_work(self, run, monkeypatch, command, g, flags):
+        def splits(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(trees_module, "_splits", splits)
+        code, out, err = run(command, "--g", str(g), *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: genus {g} has ")
+        assert err.endswith(" trees, over the enumeration budget of 2027025\n")
 
 
 class TestDecompose:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import braidcycles.trees as trees_module
 import tree_oracle
 from braidcycles.decomposition import build_balanced_tree, k_sequences
 from braidcycles.errors import TreeError
@@ -125,3 +126,41 @@ class TestFromNodeValidation:
             assert str(got.value) == str(exc)
         else:
             assert Tree.from_node(node) == expected
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def splits(*args):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(trees_module, "_splits", splits)
+
+
+class TestBudget:
+    @pytest.mark.parametrize("g, balanced, count", (
+        (11, False, 34_459_425),  # (2g-5)!!
+        (12, True, 3_628_800),  # (g-2)!
+        (15, False, 7_905_853_580_625),
+    ))
+    def test_refused_before_any_work(self, no_enumeration, g, balanced, count):
+        message = (f"^genus {g} has {count} {'balanced ' * balanced}trees, "
+                   f"over the enumeration budget of 2027025$")
+        with pytest.raises(TreeError, match=message):
+            (enumerate_balanced if balanced else enumerate_trees)(g)
+
+    @pytest.mark.parametrize("g, balanced", ((10, False), (11, True)))
+    def test_largest_accepted_requests(self, monkeypatch, g, balanced):
+        calls = []
+
+        def splits(mask, split_balanced, memo):
+            calls.append((mask, split_balanced))
+            return [], []
+
+        monkeypatch.setattr(trees_module, "_splits", splits)
+        assert trees_module._tree_lists(g, balanced) == ([], [])
+        assert calls == [((1 << g) - 2, balanced)]
+
+    @pytest.mark.parametrize("g", (2, 0, -5))
+    def test_small_genus_message_unchanged(self, no_enumeration, g):
+        with pytest.raises(TreeError, match=f"^genus must be at least 3, got {g}$"):
+            enumerate_trees(g)

@@ -157,6 +157,16 @@ class TestOnFamilies:
         assert is_cyclic_triple(*trees) is None
         assert rewrite_module._cyclic_blocks(*map(_family, trees)) is None
 
+    @pytest.mark.parametrize("families", (
+        # d1, d2, d3 are the pairwise unions of blocks 10010, 01010, 00110 (sharing bit 1)
+        ((0b11110, 0b01110), (0b11110, 0b10110), (0b11110, 0b11010)),
+        # disjoint blocks 0010, 0100, 1000 whose union 1110 is in no family
+        ((0b01100,), (0b01010,), (0b00110,)),
+    ), ids=("overlapping-blocks", "union-not-common"))
+    def test_cyclic_blocks_rejects_crafted_families(self, families):
+        """Families of no real trees, each caught by one check alone."""
+        assert rewrite_module._cyclic_blocks(*families) is None
+
 
 class TestDeterminantIdentity:
     def test_g4_det_vectors(self):

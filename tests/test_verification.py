@@ -40,6 +40,15 @@ class TestCounts:
         with pytest.raises(DomainError):
             verify_counts(8, ceiling=7)
 
+    def test_fails_when_the_lists_miss_a_tree(self, monkeypatch):
+        tree_lists = verification._tree_lists
+        monkeypatch.setattr(verification, "_tree_lists",
+                            lambda g, balanced: tuple(lst[1:] for lst in tree_lists(g, balanced)))
+        assert verify_counts(5).failures == [
+            {"check": "trees", "g": 5, "got": 14, "expected": 15},
+            {"check": "balanced", "g": 5, "got": 5, "expected": 6},
+        ]
+
 
 class TestDuality:
     @pytest.mark.parametrize("g", (3, 4, 5, 6))
@@ -116,6 +125,18 @@ class TestRelations:
         assert report.passed and report.cases == 1000
         # 264 distinct draws out of a pool of 270
         assert len(calls) == len(set(calls)) == len(set(draws)) == 264
+
+    def test_walks_each_pool_tree_once(self, monkeypatch):
+        walked = []
+        family = verification._family
+
+        def counted(tree):
+            walked.append(tree)
+            return family(tree)
+
+        monkeypatch.setattr(verification, "_family", counted)
+        assert verify_relations(6, sample=1000, seed=0).passed
+        assert len(walked) == len(set(walked)) == 105
 
     def test_one_coordinate_computation_per_distinct_tree(self, monkeypatch):
         calls = []
