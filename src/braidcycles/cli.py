@@ -17,7 +17,7 @@ from .arnold import format_class, parse_expression
 from .decomposition import decompose, pair, validate_k
 from .errors import DomainError
 from .rewrite import reduce_to_balanced
-from .trees import _tree_lists, enumerate_balanced, enumerate_trees, parse_tree, tree_to_json
+from .trees import _json_listing, _tree_lists, parse_tree
 from .verification import SUITES
 
 _SAMPLE_DEFAULTS = {"relations": 10000, "arnold": 1000}
@@ -102,8 +102,11 @@ def _cmd_trees(args) -> int:
         print(_dump({"g": args.g, "balanced": args.balanced, "count": count})
               if args.format == "json" else count)
     elif args.format == "json":
-        trees = enumerate_balanced(args.g) if args.balanced else enumerate_trees(args.g)
-        print(_dump([tree_to_json(t) for t in trees]))
+        # the bytes of one _dump over the whole list, written entry by entry
+        entries = map(_dump, _json_listing(args.g, args.balanced))
+        sys.stdout.write("[" + next(entries))
+        sys.stdout.writelines("," + entry for entry in entries)
+        print("]")
     else:
         print("\n".join(sorted(_tree_lists(args.g, args.balanced)[1])))
     return 0

@@ -127,30 +127,53 @@ def _cyclic_blocks(f1: Masks, f2: Masks, f3: Masks) -> tuple[int, int, int] | No
     return b1, b2, b3
 
 
-def _children(masks: Masks, i: int) -> tuple[int, int]:
-    """The two child masks of node i, a leaf as one bit: first the child
-    holding both of the node's two smallest labels, if one does, otherwise
-    canonical order.  The first later mask inside a node is one of its children."""
-    s = masks[i]
-    lo = s & -s
-    first = next((c for c in masks[i + 1:] if c & s == c), lo)
-    # the other child holds both smallest labels exactly when first holds neither
-    two_lowest = lo | ((s ^ lo) & -(s ^ lo))
-    return (first, s ^ first) if first & two_lowest else (s ^ first, first)
+def _scan(masks: Masks, stop: int | None = None) -> tuple[list[int], int | None]:
+    """One backward pass over a family: per index, the child mask holding the
+    node's lowest label lo (the last mask seen whose lowest bit is lo, else
+    the leaf lo), and the position of a deepest unbalanced node, the smallest
+    on ties, or None.  Given `stop`, the pass ends at that index and finds no
+    unbalanced node.  `best` keys each subtree holding one by its lowest bit,
+    with depth * n - index of its best one, depth counted from the subtree's
+    top; a parent takes over its children's keys (-n if none)."""
+    n, firsts = len(masks), [0] * len(masks)
+    top, best = {}, {}  # by lowest bit: the last mask seen, and keys as above
+    for j, s in zip(range(n - 1, -1 if stop is None else stop - 1, -1), reversed(masks)):
+        lo = s & -s
+        a = firsts[j] = top.get(lo, lo)
+        top[lo] = s
+        if stop is not None:
+            continue
+        if best:
+            b = s ^ a
+            key_a, key_b = best.pop(lo, -n), best.pop(b & -b, -n)
+            if (key := (key_a if key_a > key_b else key_b) + n) > 0:
+                best[lo] = key
+                continue
+        if a & (rest := s ^ lo) & -rest:  # a also holds the second lowest label
+            best[lo] = -j
+    return firsts, -best.popitem()[1] % n + 1 if best else None
 
 
-def _rotation(masks: Masks, v: int) -> tuple[int, int, int, int]:
+def _children(s: int, a: int) -> tuple[int, int]:
+    """Node s's children, given a, its child holding its lowest label: first
+    the child holding its two smallest labels, if one does, else canonical order."""
+    rest, b = s ^ (s & -s), s ^ a
+    return (a, b) if a & rest & -rest or a.bit_count() >= b.bit_count() else (b, a)
+
+
+def _rotation(masks: Masks, v: int, firsts: list[int] | None = None) -> tuple[int, int, int, int]:
     """Index of v1 in `masks`, and u1, u2, v2: v has children (v1, v2) and v1,
     which must be internal, has children (u1, u2), both as _children orders
-    them.  Applying the same preference inside v1 is what makes re-rotating
-    the first output recover the input tree."""
+    them from _scan's `firsts` (computed if not given).  The same preference
+    inside v1 is what makes re-rotating the first output recover the input."""
     if not (1 <= v <= len(masks)):
         raise DomainError(f"node index {v} out of range 1..{len(masks)}")
-    v1, v2 = _children(masks, v - 1)
+    firsts = _scan(masks, v - 1)[0] if firsts is None else firsts
+    v1, v2 = _children(masks[v - 1], firsts[v - 1])
     if v1.bit_count() < 2:
         raise DomainError("node has two leaf children; no rotation is available")
     i = masks.index(v1, v)
-    return (i, *_children(masks, i), v2)
+    return (i, *_children(v1, firsts[i]), v2)
 
 
 def _replaced(masks: Masks, i: int, new: int) -> tuple[Masks, int]:
@@ -184,24 +207,6 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
                                  for new in (u1 | v2, v2 | u2)))
 
 
-def _deepest_unbalanced(masks: Masks) -> int | None:
-    """find_unbalanced on a family.  A node is unbalanced when the first later
-    mask holding its lowest bit lo, its child holding lo, also holds its
-    second lowest; only such a node's depth (earlier masks holding lo) is counted."""
-    best, best_depth = None, -1
-    for i, s in enumerate(masks):
-        lo = s & -s
-        for child in masks[i + 1:]:
-            if child & lo:
-                rest = s ^ lo
-                if child & rest & -rest:
-                    depth = sum(1 for a in masks[:i] if a & lo)
-                    if depth > best_depth:
-                        best, best_depth = i + 1, depth
-                break
-    return best
-
-
 def _balanced_k(masks: Masks) -> tuple[KSequence, int]:
     """k and epsilon(k) of a balanced family.  A balanced node's children have
     minima lo < hi, its two smallest labels; the merge construction creates
@@ -227,7 +232,7 @@ def _balanced_term(k: KSequence) -> tuple[str, Tree, int]:
 def find_unbalanced(t: Tree) -> int | None:
     """Canonical position of a deepest unbalanced node (smallest position on
     ties), or None when the tree is balanced."""
-    return _deepest_unbalanced(_family(t))
+    return _scan(_family(t))[1]
 
 
 @dataclass(frozen=True)
@@ -283,12 +288,11 @@ class SignedTreeSum:
         return CycleDecomposition.from_dict(self.g, coeffs)
 
 
-# Reductions of canonical mask families to {k: coeff * epsilon(k)}, shared by
-# every untraced call without an explicit step limit: a tree's reduction never
-# changes, and callers that reduce many trees of one genus (crosspath, checks
-# of the determinant route) revisit the same intermediate trees.  Emptied
-# when it reaches the cap, so it stays bounded.
-_SHARED_MEMO: dict[Masks, dict[KSequence, int]] = {}
+# Reductions of canonical mask families as (sign, {k: coeff * epsilon(k)}),
+# sign times the dict, shared by untraced calls without a step limit: callers
+# that reduce many trees of one genus (crosspath, checks of the determinant
+# route) revisit the same intermediate trees.  Emptied at the cap.
+_SHARED_MEMO: dict[Masks, tuple[int, dict[KSequence, int]]] = {}
 
 # Without a step_limit, reduce_to_balanced allows _BUDGET_BASE ** genus rotations.
 _BUDGET_BASE = 3
@@ -321,34 +325,42 @@ def _reduce(t: Tree, trace: TraceHook | None = None,
     steps = 0
     memo = _SHARED_MEMO if step_limit is None else {}
 
-    def reduce_family(masks: Masks) -> dict[KSequence, int]:
+    def reduce_family(masks: Masks) -> tuple[int, dict[KSequence, int]]:
         nonlocal steps
-        if trace is None:
-            known = memo.get(masks)
-            if known is not None:
-                return known
-        v = _deepest_unbalanced(masks)
+        if trace is None and (known := memo.get(masks)) is not None:
+            return known
+        firsts, v = _scan(masks)
         if v is None:
             k, eps = _balanced_k(masks)
-            result = {k: eps}
+            result = (1, {k: eps})
         else:
             steps += 1
             if steps > limit:
                 raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
-            i, u1, u2, v2 = _rotation(masks, v)
-            rotated = (_replaced(masks, i, u1 | v2), _replaced(masks, i, v2 | u2))
+            i, u1, u2, v2 = _rotation(masks, v, firsts)
+            family_a, sigma_a = _replaced(masks, i, u1 | v2)
+            family_b, sigma_b = _replaced(masks, i, v2 | u2)
             if trace is not None:
                 trace({"at": i + 1,
-                       "triple": [_build(f).render() for f in (masks, *(f for f, _ in rotated))]})
-            result = {}
-            for family, sigma in rotated:
-                for k, c in reduce_family(family).items():
-                    result[k] = result.get(k, 0) - sigma * c
-            result = {k: c for k, c in result.items() if c != 0}
+                       "triple": [_build(f).render() for f in (masks, family_a, family_b)]})
+            # sum -sigma * sign * coords: copy the larger dict, add the smaller
+            sign_a, a = reduce_family(family_a)
+            sign_b, b = reduce_family(family_b)
+            sign_a, sign_b = -sigma_a * sign_a, -sigma_b * sign_b
+            if len(a) < len(b):
+                sign_a, a, sign_b, b = sign_b, b, sign_a, a
+            merged, factor = a.copy(), sign_a * sign_b
+            for k, c in b.items():
+                if c := merged.get(k, 0) + factor * c:
+                    merged[k] = c
+                else:
+                    del merged[k]
+            result = (sign_a, merged)
         if trace is None:
             if len(memo) >= _CACHE_CAP:
                 memo.clear()
             memo[masks] = result
         return result
 
-    return reduce_family(_family(t))
+    sign, coords = reduce_family(_family(t))
+    return coords if sign == 1 else {k: -c for k, c in coords.items()}

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import TreeError
 
@@ -223,6 +223,10 @@ def render_tree(t: Tree) -> str:
 
 def _family(t: Tree) -> Masks:
     """The canonical mask family of a tree, in one walk of its root."""
+    return _root_family(t.root)
+
+
+def _root_family(root: Node) -> Masks:
     masks: list[int] = []
 
     def walk(node: Node) -> int:
@@ -231,7 +235,7 @@ def _family(t: Tree) -> Masks:
         masks.append(walk(node[0]) | walk(node[1]))
         return masks[-1]
 
-    walk(t.root)
+    walk(root)
     return tuple(sorted(masks, key=_mask_key))
 
 
@@ -388,8 +392,16 @@ def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
 
 def tree_to_json(t: Tree) -> dict:
     """JSON form: genus, canonical string, and canonical-ordered node sets."""
-    return {
-        "g": t.genus,
-        "newick": t.render(),
-        "nodes": [_bits(m) for m in _family(t)],
-    }
+    return _json_entry(t.genus, t.root, t.render())
+
+
+def _json_entry(g: int, root: Node, text: str) -> dict:
+    return {"g": g, "newick": text, "nodes": [sorted(_labels(m)) for m in _root_family(root)]}
+
+
+def _json_listing(g: int, balanced: bool) -> Iterator[dict]:
+    """tree_to_json of each genus-g tree, or balanced tree, in text order,
+    made one at a time from the label-split lists; no Tree is built."""
+    nodes, texts = _tree_lists(g, balanced)
+    return (_json_entry(g, nodes[i], texts[i])
+            for i in sorted(range(len(texts)), key=texts.__getitem__))

@@ -10,7 +10,7 @@ import braidcycles.trees as trees_module
 from braidcycles import rewrite, verification
 from braidcycles.cli import main
 from braidcycles.decomposition import CycleDecomposition
-from braidcycles.trees import enumerate_balanced, enumerate_trees, tree_to_json
+from braidcycles.trees import descendant_sets, enumerate_balanced, enumerate_trees, tree_to_json
 from braidcycles.verification import SuiteReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,6 +85,28 @@ class TestTrees:
         assert run("trees", "--g", "5", "--balanced")[:2] == (0, "".join(
             f"{text}\n" for text in sorted(trees_module._tree_lists(5, True)[1])))
         assert run("verify", "--suite", "counts", "--g", "6")[0] == 0
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    @pytest.mark.parametrize("balanced", (False, True))
+    def test_json_listing_is_one_dump_of_all_trees(self, run, g, balanced):
+        # the listing as one json.dumps over a list of every tree's entry
+        trees = enumerate_balanced(g) if balanced else enumerate_trees(g)
+        entries = [{"g": t.genus, "newick": t.render(),
+                    "nodes": [sorted(s) for s in descendant_sets(t)]} for t in trees]
+        expected = json.dumps(entries, sort_keys=True, separators=(",", ":")) + "\n"
+        flags = ["--balanced"] * balanced
+        assert run("trees", "--g", str(g), "--format", "json", *flags) == (0, expected, "")
+
+    def test_json_listing_builds_no_tree(self, run, monkeypatch):
+        listings = [("trees", "--g", "6", "--format", "json", *flags)
+                    for flags in ((), ("--balanced",))]
+        expected = [run(*argv) for argv in listings]
+
+        def tree_built(*args, **kwargs):
+            raise AssertionError("a Tree was built")
+
+        monkeypatch.setattr(trees_module.Tree, "_trusted", tree_built)
+        assert [run(*argv) for argv in listings] == expected
 
     @pytest.mark.parametrize("command, g, flags", (
         ("trees", 11, ("--count",)),

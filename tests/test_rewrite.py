@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import rotation_oracle
@@ -212,6 +214,92 @@ class TestFindUnbalanced:
             v = find_unbalanced(t)
             if v is not None:
                 rotate(t, v)  # must not raise
+
+
+class TestOnePassSearch:
+    """_scan's backward pass against the quadratic definition and the forward
+    child scans kept in rotation_oracle."""
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_matches_quadratic_definition(self, g):
+        for t in enumerate_trees(g):
+            family = _family(t)
+            v = rotation_oracle.deepest_unbalanced(family)
+            firsts, found = rewrite_module._scan(family)
+            assert find_unbalanced(t) == found == v
+            if v is not None:
+                # the rotation the engine takes, from the pass's own children
+                taken = rewrite_module._rotation(family, v, firsts)
+                assert taken == rewrite_module._rotation(family, v)
+                assert taken == rotation_oracle.rotation(family, v)
+
+    @pytest.mark.parametrize("g", range(4, 9))
+    def test_rotation_matches_forward_child_scans(self, g):
+        for t in enumerate_trees(g):
+            family = _family(t)
+            for v in eligible_nodes(t):
+                assert rewrite_module._rotation(family, v) == rotation_oracle.rotation(family, v)
+
+    def test_smallest_position_on_ties(self):
+        # {1,2,3} at position 2 and {4,5,6} at position 3 are both unbalanced at depth 1
+        t = parse_tree("(((1,2),3),((4,5),6))")
+        assert rotation_oracle.deepest_unbalanced(_family(t)) == 2
+        assert find_unbalanced(t) == 2
+
+
+class TestSignedMemo:
+    """_reduce's (sign, coords) memo entries against the unsigned recursion
+    in rotation_oracle, on an empty, a filling and a warm shared memo."""
+
+    @pytest.mark.parametrize("g", (3, 4, 5, 6, 7, 9))
+    def test_matches_unsigned_recursion(self, g, monkeypatch):
+        if g == 9:
+            rng = random.Random(9)
+            trees = [rotation_oracle.remy_tree(9, rng) for _ in range(300)]
+        else:
+            trees = enumerate_trees(g)
+        oracle_memo = {}
+        expected = [rotation_oracle.reduce_unsigned(_family(t), oracle_memo) for t in trees]
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
+        for state in ("emptied", "filling", "warm"):
+            for t, want in zip(trees, expected):
+                if state == "emptied":
+                    rewrite_module._SHARED_MEMO.clear()
+                got = rewrite_module._reduce(t)
+                assert got == want, (state, t.render())
+                assert 0 not in got.values()
+
+    def test_cancelled_keys_are_deleted(self, monkeypatch):
+        # no reduction of genus <= 8 cancels a coordinate, so two memo entries
+        # are planted whose merge does: the key must go, not stay as 0
+        t = parse_tree("(((1,2),3),4)")
+        family = _family(t)
+        i, u1, u2, v2 = rewrite_module._rotation(family, find_unbalanced(t))
+        (family_a, sigma_a), (family_b, sigma_b) = (rewrite_module._replaced(family, i, new)
+                                                    for new in (u1 | v2, v2 | u2))
+        a = {(1, 1, 1): 2, (1, 1, 2): 3}
+        b = {(1, 1, 1): 2}
+        sign_b = -sigma_a * sigma_b  # -sigma_a * a and -sigma_b * sign_b * b cancel at (1, 1, 1)
+        planted = {family_a: (1, a), family_b: (sign_b, b)}
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", planted)
+        assert rewrite_module._reduce(t) == {(1, 1, 2): -sigma_a * 3}
+        assert (a, b) == ({(1, 1, 1): 2, (1, 1, 2): 3}, {(1, 1, 1): 2})
+
+    def test_negative_top_sign_mutates_no_memo_entry(self, monkeypatch):
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
+        memo = rewrite_module._SHARED_MEMO
+
+        def top_sign(t):
+            rewrite_module._reduce(t)
+            return memo[_family(t)][0]
+
+        t = next(t for t in enumerate_trees(6) if top_sign(t) == -1)
+        before = {family: (sign, dict(coords)) for family, (sign, coords) in memo.items()}
+        first = rewrite_module._reduce(t)
+        second = rewrite_module._reduce(t)
+        assert first == second == rotation_oracle.reduce_unsigned(_family(t), {})
+        assert first is not memo[_family(t)][1]
+        assert {family: (sign, dict(coords)) for family, (sign, coords) in memo.items()} == before
 
 
 class TestReduce:

@@ -195,7 +195,8 @@ class TestCrosspath:
 
     def test_threads_equivalent(self):
         a = verify_crosspath(5).to_json()
-        b = verify_crosspath(5, threads=3).to_json()
+        with pytest.warns(DeprecationWarning, match="threads is deprecated"):
+            b = verify_crosspath(5, threads=3).to_json()
         a.pop("millis")
         b.pop("millis")
         assert a == b
