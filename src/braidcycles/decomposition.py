@@ -26,8 +26,8 @@ from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
 from .errors import DomainError
-from .trees import (_CACHE_CAP, Masks, Tree, _bits, _build, _family, _labels, _mask_key,
-                    descendant_sets)
+from .trees import (_CACHE_CAP, MAX_TREES, Masks, Tree, _bits, _build, _family, _labels,
+                    _mask_key, descendant_sets)
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -93,18 +93,19 @@ def balanced_tree_to_k(t: Tree) -> KSequence:
     smallest labels: the child holding lo must have no other label below hi.
     """
     k = [0] * (t.genus - 2)
-
-    def walk(node) -> tuple[int, int]:
-        if isinstance(node, int):
-            return node, t.genus  # no second label: genus exceeds them all
-        (lo, second), (hi, _) = sorted((walk(node[0]), walk(node[1])))
-        if second < hi:
-            raise DomainError(f"tree {t.render()} is not balanced")
-        k[hi - 2] = lo
-        return lo, hi
-
-    walk(t.root)
+    _balanced_walk(t, t.root, k)
     return tuple(k)
+
+
+def _balanced_walk(t: Tree, node, k: list[int]) -> tuple[int, int]:
+    """The two smallest labels below `node` (the genus if one is missing)."""
+    if isinstance(node, int):
+        return node, t.genus
+    (lo, second), (hi, _) = sorted((_balanced_walk(t, node[0], k), _balanced_walk(t, node[1], k)))
+    if second < hi:
+        raise DomainError(f"tree {t.render()} is not balanced")
+    k[hi - 2] = lo
+    return lo, hi
 
 
 def parity_between(a: Sequence[frozenset[int]], b: Sequence[frozenset[int]]) -> int:
@@ -202,23 +203,25 @@ def _coordinates(family: Masks, k: KSequence | None = None) -> dict[KSequence, i
                 choices[p] = _bits(family[p] & free)
                 free &= ~family[p]
         rows.append(choices)
-    image: list[int] = []
     coords: dict[KSequence, int] = {}
-
-    def extend(i: int) -> None:
-        if i == m:
-            sign = perm_sign_of(image)
-            for seq in itertools.product(*(row[a] for row, a in zip(rows, image))):
-                coords[seq] = sign
-            return
-        for a in rows[i]:
-            if a not in image:
-                image.append(a)
-                extend(i + 1)
-                image.pop()
-
-    extend(0)
+    _extend(rows, [], coords)
     return coords
+
+
+def _extend(rows: list[dict[int, list[int]]], image: list[int],
+            coords: dict[KSequence, int]) -> None:
+    """Backtrack from the rows `image` has placed: each bijection found adds
+    its sign at every k whose rows select it."""
+    if len(image) == len(rows):
+        sign = perm_sign_of(image)
+        for seq in itertools.product(*(row[a] for row, a in zip(rows, image))):
+            coords[seq] = sign
+        return
+    for a in rows[len(image)]:
+        if a not in image:
+            image.append(a)
+            _extend(rows, image, coords)
+            image.pop()
 
 
 def pair(k: Sequence[int], t: Tree) -> int:
@@ -269,8 +272,20 @@ class CycleDecomposition:
 
 def decompose(t: Tree) -> CycleDecomposition:
     """Expand a tree's cycle over the balanced basis: the incidence
-    determinants, as LCA permutation signs over the support."""
+    determinants, as LCA permutation signs over the support.  Refused when
+    the (g-2)! worst-case support is over MAX_TREES."""
+    _check_support(t.genus)
     return CycleDecomposition.from_dict(t.genus, _coordinates(_family(t)))
+
+
+def _check_support(g: int) -> None:
+    """Refuse a genus whose (g-2)! balanced trees are over MAX_TREES; the
+    product stops at the first factor past the budget, however large g is."""
+    count = 1
+    for m in range(2, g - 1):
+        if (count := count * m) > MAX_TREES:
+            raise DomainError(f"genus {g} trees decompose into up to {g - 2}! terms, "
+                              f"over the decomposition budget of {MAX_TREES}")
 
 
 def duality_table(g: int) -> list[list[int]]:

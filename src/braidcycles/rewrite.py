@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .arnold import perm_sign_of
-from .decomposition import (CycleDecomposition, KSequence, _construct, balanced_tree_to_k,
-                            epsilon, parity_between)
+from .decomposition import (CycleDecomposition, KSequence, _check_support, _construct,
+                            balanced_tree_to_k, epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
 from .trees import (_CACHE_CAP, Masks, Tree, _build, _family, _labels, _mask_key,
                     descendant_sets, is_balanced)
@@ -312,8 +312,10 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     ceiling of 3^g is a circuit breaker only (it raises RewriteBudgetError);
     the height measure already guarantees termination.  Reductions are
     memoized across calls, except under an explicit `step_limit`, which then
-    counts every rotation of this tree's reduction.
+    counts every rotation of this tree's reduction.  Refused, like decompose,
+    when the (g-2)! worst-case support is over MAX_TREES.
     """
+    _check_support(t.genus)
     return SignedTreeSum._from_k(t.genus, _reduce(t, trace, step_limit))
 
 

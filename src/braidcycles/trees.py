@@ -11,8 +11,10 @@ disjoint (a laminar family), so the key agrees with a lexicographic
 tie-break on the sorted element lists.
 
 Internally label sets are int bitmasks, bit x for label x; on a laminar family
-the key (-popcount, lowest set bit) is the same order.  _family is the one
-walk from a tree to its canonical family; public functions return sets.
+the key (-popcount, lowest set bit) is the same order.  The walk that checks a
+tree input also builds its canonical family, which the Tree carries; _family
+walks only trees that carry none (built and enumerated ones).  Public
+functions return sets.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .errors import TreeError
@@ -66,30 +68,34 @@ def _labels(m: int) -> frozenset[int]:
     return frozenset(_bits(m))
 
 
-def _canonicalize(node: Node, leaves: list[int]) -> tuple[Node, int, int]:
-    """Return (canonical node, leaf count, smallest leaf) and append each leaf
-    to `leaves`, unchecked.  Children are ordered by (size, smallest leaf),
-    which ties only when a label repeats; _check_labels rejects that."""
+def _walk(node: Node, n: int, masks: list[int]) -> tuple[Node, int]:
+    """(canonical node, mask), appending each internal node's mask to `masks`.
+    Only an int in 1..n (no bool) gets a bit, so a faulty label leaves the root
+    mask short, and the child order, by mask key, does not matter then."""
     if isinstance(node, int):
-        leaves.append(node)
-        return node, 1, node
+        return node, 1 << node if 0 < node <= n and node is not True else 0
     if not (isinstance(node, (tuple, list)) and len(node) == 2):
         raise TreeError("internal nodes must have exactly two children")
-    a, na, la = _canonicalize(node[0], leaves)
-    b, nb, lb = _canonicalize(node[1], leaves)
-    if (-na, la) > (-nb, lb):
-        a, b = b, a
-    return (a, b), na + nb, min(la, lb)
+    a, ma = _walk(node[0], n, masks)
+    b, mb = _walk(node[1], n, masks)
+    ca, cb = ma.bit_count(), mb.bit_count()
+    masks.append(mask := ma | mb)
+    if ca < cb or ca == cb and mb & -mb < ma & -ma:
+        return (b, a), mask
+    return (a, b), mask
 
 
-def _validated(node: Node, genus: int | None = None) -> tuple[Node, int]:
-    """(canonical node, genus) of a checked tree input: one canonicalizing
-    walk, then one label check.  The genus defaults to the leaf count + 1."""
-    leaves: list[int] = []
-    canonical = _canonicalize(node, leaves)[0]
-    genus = len(leaves) + 1 if genus is None else genus
-    _check_labels(leaves, genus)
-    return canonical, genus
+def _validated(node: Node, n: int, genus: int | None = None) -> tuple[Node, int, Masks]:
+    """(canonical node, genus, canonical family) of a tree input with n
+    leaves: one canonicalizing walk and one root mask comparison; the label
+    check runs only to name a fault.  The genus defaults to n + 1."""
+    masks: list[int] = []
+    canonical, root = _walk(node, n, masks)
+    genus = n + 1 if genus is None else genus
+    if root != (2 << n) - 2 or n < 2 or genus != n + 1:
+        _check_labels(_check_depth(node), genus)
+    masks.sort(key=_mask_key)
+    return canonical, genus, tuple(masks)
 
 
 def _check_labels(leaves: list[int], genus: int) -> None:
@@ -120,28 +126,32 @@ def _render(node: Node) -> str:
 
 @dataclass(frozen=True)
 class Tree:
-    """Canonical rooted full binary tree with leaves labeled 1..genus-1."""
+    """Canonical rooted full binary tree with leaves labeled 1..genus-1.  A
+    checked input carries its mask family, outside ==, hash and repr."""
 
     root: Node
     genus: int
+    _masks: Masks | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_depth(self.root)
-        if _validated(self.root, self.genus)[0] != self.root:
+        canonical, _, masks = _validated(self.root, len(_check_depth(self.root)), self.genus)
+        if canonical != self.root:
             raise TreeError("children are not in canonical order")
+        object.__setattr__(self, "_masks", masks)
 
     @classmethod
     def from_node(cls, node: Node) -> Tree:
         """Build a canonical Tree from a nested node structure."""
-        _check_depth(node)
-        return cls._trusted(*_validated(node))
+        return cls._trusted(*_validated(node, len(_check_depth(node))))
 
     @classmethod
-    def _trusted(cls, root: Node, genus: int) -> Tree:
-        """A Tree over a root that is canonical by construction; no checks."""
+    def _trusted(cls, root: Node, genus: int, masks: Masks | None = None) -> Tree:
+        """A Tree over a canonical root, with its family if known; no checks."""
         tree = object.__new__(cls)
         object.__setattr__(tree, "root", root)
         object.__setattr__(tree, "genus", genus)
+        if masks is not None:
+            object.__setattr__(tree, "_masks", masks)
         return tree
 
     @classmethod
@@ -164,12 +174,14 @@ class Tree:
         return self.render()
 
 
-def _check_depth(node: Node) -> None:
-    """Refuse nesting deeper than MAX_DEPTH, one level at a time, no recursion."""
-    level: list = [node]
+def _check_depth(node: Node) -> list:
+    """Refuse nesting deeper than MAX_DEPTH, one level at a time, no
+    recursion; return the leaves (the nodes that are not pairs)."""
+    level, leaves = [node], []
     for _ in range(MAX_DEPTH + 1):
+        leaves += [n for n in level if not isinstance(n, (tuple, list))]
         if not (level := [child for n in level if isinstance(n, (tuple, list)) for child in n]):
-            return
+            return leaves
     raise TreeError(f"tree nested deeper than {MAX_DEPTH} levels")
 
 
@@ -185,35 +197,32 @@ def parse_tree(text: str) -> Tree:
     depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
     if s.count("(") > MAX_DEPTH and max(depths) > MAX_DEPTH:
         raise TreeError(f"tree nested deeper than {MAX_DEPTH} levels")
-    pos = 0
-
-    def parse_node() -> Node:
-        nonlocal pos
-        if pos >= len(s):
-            raise TreeError("unexpected end of input")
-        if s[pos] == "(":
-            pos += 1
-            a = parse_node()
-            if pos >= len(s) or s[pos] != ",":
-                raise TreeError(f"expected ',' at position {pos}")
-            pos += 1
-            b = parse_node()
-            if pos >= len(s) or s[pos] != ")":
-                raise TreeError(f"expected ')' at position {pos}")
-            pos += 1
-            return (a, b)
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise TreeError(f"expected a leaf label at position {pos}")
-        return int(s[start:pos])
-
-    node = parse_node()
+    node, pos = _parse_node(s, 0)
     if pos != len(s):
         raise TreeError(f"trailing input at position {pos}")
-    # the text check above bounds the depth, so no _check_depth scan
-    return Tree._trusted(*_validated(node))
+    # the text check above bounds the depth, so no _check_depth scan; a
+    # binary tree has one leaf more than it has commas
+    return Tree._trusted(*_validated(node, s.count(",") + 1))
+
+
+def _parse_node(s: str, pos: int) -> tuple[Node, int]:
+    """The node of `s` that starts at `pos`, and the position after it."""
+    if pos >= len(s):
+        raise TreeError("unexpected end of input")
+    if s[pos] == "(":
+        a, pos = _parse_node(s, pos + 1)
+        if pos >= len(s) or s[pos] != ",":
+            raise TreeError(f"expected ',' at position {pos}")
+        b, pos = _parse_node(s, pos + 1)
+        if pos >= len(s) or s[pos] != ")":
+            raise TreeError(f"expected ')' at position {pos}")
+        return (a, b), pos + 1
+    start = pos
+    while pos < len(s) and s[pos].isdecimal():  # what int() accepts, unlike isdigit
+        pos += 1
+    if pos == start:
+        raise TreeError(f"expected a leaf label at position {pos}")
+    return int(s[start:pos]), pos
 
 
 def render_tree(t: Tree) -> str:
@@ -222,21 +231,22 @@ def render_tree(t: Tree) -> str:
 
 
 def _family(t: Tree) -> Masks:
-    """The canonical mask family of a tree, in one walk of its root."""
-    return _root_family(t.root)
+    """The canonical mask family a tree carries, else one walk of its root."""
+    return _root_family(t.root) if t._masks is None else t._masks
 
 
 def _root_family(root: Node) -> Masks:
     masks: list[int] = []
-
-    def walk(node: Node) -> int:
-        if isinstance(node, int):
-            return 1 << node
-        masks.append(walk(node[0]) | walk(node[1]))
-        return masks[-1]
-
-    walk(root)
+    _node_masks(root, masks)
     return tuple(sorted(masks, key=_mask_key))
+
+
+def _node_masks(node: Node, masks: list[int]) -> int:
+    """The mask of a canonical node; appends each internal node's to `masks`."""
+    if isinstance(node, int):
+        return 1 << node
+    masks.append(mask := _node_masks(node[0], masks) | _node_masks(node[1], masks))
+    return mask
 
 
 @functools.lru_cache(maxsize=_CACHE_CAP)

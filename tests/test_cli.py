@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import braidcycles.trees as trees_module
-from braidcycles import rewrite, verification
+from braidcycles import decomposition, rewrite, verification
 from braidcycles.cli import main
 from braidcycles.decomposition import CycleDecomposition
 from braidcycles.trees import descendant_sets, enumerate_balanced, enumerate_trees, tree_to_json
@@ -161,6 +161,22 @@ class TestDecompose:
         code, _, err = run("decompose", "--tree", "((1,2),3)", "--trace")
         assert code == 1
         assert "--trace" in err
+
+    @pytest.mark.parametrize("method", ("det", "rewrite", "both"))
+    def test_over_support_budget_exits_1_before_any_work(self, run, monkeypatch, method):
+        def started(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(decomposition, "_coordinates", started)
+        monkeypatch.setattr(rewrite, "_reduce", started)
+        genus_12 = "(" * 10 + "1" + "".join(f",{i})" for i in range(2, 12))
+        assert run("decompose", "--tree", genus_12, "--method", method) == (
+            1, "", "error: genus 12 trees decompose into up to 10! terms, "
+                   "over the decomposition budget of 2027025\n")
+
+    def test_huge_label_exits_1(self, run):
+        assert run("decompose", "--tree", "(1,100000000000000000000)") == (
+            1, "", "error: leaf labels must be exactly 1..2, got [1, 100000000000000000000]\n")
 
     def test_rewrite_budget_exits_1(self, run, monkeypatch):
         monkeypatch.setattr(rewrite, "_BUDGET_BASE", 0)  # budget 0 ** g = 0 rotations

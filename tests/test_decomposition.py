@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -26,8 +27,9 @@ from braidcycles.decomposition import (
     unit_triangular_certificate,
     validate_k,
 )
+from braidcycles import rewrite
 from braidcycles.errors import DomainError
-from braidcycles.rewrite import SignedTreeSum
+from braidcycles.rewrite import SignedTreeSum, reduce_to_balanced
 from braidcycles.trees import (
     Tree,
     _family,
@@ -340,6 +342,60 @@ class TestDecompose:
     def test_from_dict_drops_zeros(self):
         d = CycleDecomposition.from_dict(4, {(1, 1): 0, (1, 2): 3})
         assert d.as_dict() == {(1, 2): 3}
+
+
+def caterpillar(g):
+    """(((1,2),3),...,g-1): the genus-g tree of largest support, (g-2)! terms."""
+    return parse_tree("(" * (g - 2) + "1" + "".join(f",{i})" for i in range(2, g)))
+
+
+def wide(leaves):
+    """A tree on 1..leaves nested about log2(leaves) deep."""
+    level = [str(i) for i in range(1, leaves + 1)]
+    while len(level) > 1:
+        level = [f"({a},{b})" for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+    return parse_tree(level[0])
+
+
+class TestSupportBudget:
+    """decompose and reduce_to_balanced refuse a genus whose (g-2)! worst-case
+    support is over MAX_TREES, before any work starts; pair is unaffected."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("the work started")
+
+        monkeypatch.setattr(decomposition, "_coordinates", record)
+        monkeypatch.setattr(rewrite, "_reduce", record)
+        return calls
+
+    @pytest.mark.parametrize("route", (decompose, reduce_to_balanced))
+    @pytest.mark.parametrize("t", (caterpillar(12), caterpillar(15), wide(3000)),
+                             ids=("genus 12", "genus 15", "genus 3001"))
+    def test_refused_before_any_work(self, started, route, t):
+        # 10! = 3,628,800 > 2,027,025; at genus 3001 the count would have
+        # over 9,000 digits, more than int-to-str converts by default
+        message = (f"^genus {t.genus} trees decompose into up to {t.genus - 2}! terms, "
+                   f"over the decomposition budget of 2027025$")
+        with pytest.raises(DomainError, match=message):
+            route(t)
+        assert started == []
+
+    @pytest.mark.parametrize("route", (decompose, reduce_to_balanced))
+    def test_genus_11_accepted(self, started, route):
+        with pytest.raises(RuntimeError, match="the work started"):
+            route(caterpillar(11))
+        assert len(started) == 1
+
+    def test_pair_unaffected(self):
+        t = caterpillar(12)
+        k = tuple(range(1, 11))
+        sign = -1 if math.comb(10, 2) % 2 else 1
+        assert pair(k, t) == sign * det(incidence_matrix(k, t))
 
 
 class TestDuality:

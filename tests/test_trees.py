@@ -8,10 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import braidcycles.trees as trees_module
+from braidcycles.decomposition import balanced_tree_to_k, decompose, pair
 from braidcycles.errors import TreeError
+from braidcycles.rewrite import find_unbalanced, reduce_to_balanced
 from braidcycles.trees import (
     MAX_DEPTH,
     Tree,
+    _build,
+    _family,
+    _root_family,
     balance_report,
     descendant_sets,
     enumerate_balanced,
@@ -96,6 +102,12 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(TreeError):
             parse_tree(bad)
+
+    def test_digits_int_rejects_are_not_labels(self):
+        # "²" is a digit to str.isdigit, but int() refuses it
+        with pytest.raises(TreeError, match="^expected a leaf label at position 3$"):
+            parse_tree("(1,²)")
+        assert parse_tree("(\u0661,2)") == parse_tree("(1,2)")  # ARABIC-INDIC DIGIT ONE
 
 
 def nested_caterpillar(leaves):
@@ -192,6 +204,11 @@ INPUT_FAULTS = {
                      "((1,2),3)"),
     "not a pair, bool": (((True, 2), (1, 2, 3)), 6, None,
                          "internal nodes must have exactly two children"),
+    # labels far outside 1..n get no bit, so nothing shifts by them
+    "huge": ((1, 10**20), 3, "(1,100000000000000000000)",
+             "leaf labels must be exactly 1..2, got [1, 100000000000000000000]"),
+    "huge negative": ((-10**20, 2), 3, None,
+                      "leaf labels must be positive, got -100000000000000000000"),
 }
 
 
@@ -369,3 +386,68 @@ class TestDescendantSets:
             "newick": "((1,2),3)",
             "nodes": [[1, 2, 3], [1, 2]],
         }
+
+
+def shuffled(rng, node):
+    """The node with the children of each pair swapped at random."""
+    if isinstance(node, int):
+        return node
+    a, b = shuffled(rng, node[0]), shuffled(rng, node[1])
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+class TestCarriedFamily:
+    """Checked inputs carry the canonical mask family of their one walk."""
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_checked_inputs_carry_the_walked_family(self, g):
+        rng = random.Random(g)
+        for t in enumerate_trees(g):
+            family = _root_family(t.root)
+            for checked in (parse_tree(node_text(shuffled(rng, t.root))),
+                            Tree(root=t.root, genus=g),
+                            Tree.from_node(shuffled(rng, t.root))):
+                assert checked._masks == family
+                assert checked == t and hash(checked) == hash(t) and repr(checked) == repr(t)
+
+    @pytest.mark.parametrize("g", range(3, 8))
+    def test_built_and_enumerated_trees_carry_none(self, g):
+        for t in enumerate_trees(g) + enumerate_balanced(g):
+            assert t._masks is None
+            assert _build(_family(t))._masks is None
+
+    def test_parsed_trees_skip_the_walk(self, monkeypatch):
+        t = parse_tree("(((1,4),3),(2,5))")
+        expected = (decompose(t), pair((1, 1, 2, 1), t), reduce_to_balanced(t),
+                    find_unbalanced(t))
+
+        def walked(root):
+            raise AssertionError("the family was walked")
+
+        monkeypatch.setattr(trees_module, "_root_family", walked)
+        assert (decompose(t), pair((1, 1, 2, 1), t), reduce_to_balanced(t),
+                find_unbalanced(t)) == expected
+
+
+def test_query_path_leaves_no_reference_cycle():
+    """Parsing, building, the family walk and the determinant queries free
+    everything they make by reference counting; the collector finds nothing."""
+    rng = random.Random(9)
+    trees, balanced = enumerate_trees(6), enumerate_balanced(6)
+    texts = [node_text(shuffled(rng, t.root)) for t in trees]
+    texts += [node_text(shuffled(rng, random_tree(rng, 8).root)) for _ in range(200)]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            t = parse_tree(text)
+            Tree.from_node(t.root)
+            decompose(t)
+            pair(tuple(rng.randint(1, i) for i in range(1, t.genus - 1)), t)
+        for t in trees:
+            _family(t)
+        for t in balanced:
+            balanced_tree_to_k(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
