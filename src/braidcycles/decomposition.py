@@ -7,8 +7,10 @@ determinant of a 0/1 incidence matrix: entry (i, j) records whether leaves
 k_i and i+1 are both enclosed by the tree's j-th node.  A tree's cycle
 decomposes over the balanced basis with exactly these determinants as
 coordinates.  Each determinant is a permutation sign of the lowest common
-ancestors, which the kernel _coordinates reads off the tree's canonical
-family of int bitmasks (see trees.py); every coordinate lies in {-1, 0, +1}.
+ancestors, read off the tree's canonical family of int bitmasks (see
+trees.py): pair reads the one LCA image of its k (_coordinate), and the
+support kernel _coordinates reads the one image that is a bijection, so a
+tree's nonzero coordinates all share one sign in {-1, +1}.
 
 Sign conventions: a tree contributes its incidence columns in the canonical
 node ordering; the basis element attached to k uses the construction ordering
@@ -177,58 +179,55 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _coordinates(family: Masks, k: KSequence | None = None) -> dict[KSequence, int]:
-    """Every nonzero det(incidence_matrix(k, t)), keyed by k, of the tree t
-    whose canonical mask family is `family`; only `k` if given.
+def _coordinates(family: Masks) -> dict[KSequence, int]:
+    """Every nonzero det(incidence_matrix(k, t)) of the tree t whose canonical
+    mask family is `family`, keyed by k in lexicographic order.
 
     Row i of the incidence matrix marks the ancestors-or-self of the node
     a_i = LCA(k_i, i+1), so X = A.Z: A selects node a_i in row i and Z is the
     ancestor matrix.  Z is unitriangular in the canonical ordering (ancestors
     come first), so det X is the sign of i -> position of a_i when that map
-    is a bijection, 0 otherwise.  Backtracking over the rows skips nodes
-    already in the image, so only the support is visited.  In another column
-    ordering each determinant gains that ordering's parity as a factor.
+    is a bijection, 0 otherwise (_coordinate).  Only one bijection exists:
+    a_i is at or above b_i, the deepest ancestor of leaf i+1 holding a
+    smaller label; i -> b_i is a bijection, and only the rows whose b_i lies
+    in a subtree, as many as its nodes, can reach them, so a_i = b_i.  The
+    support is every k with each k_i in b_i below i+1, all of one sign.  In
+    another column ordering each determinant gains that ordering's parity.
     """
-    m = len(family)
-    # rows[i][a]: the values of k_{i+1} whose row selects the node at position a.
-    # LCA(x, i+1) is the deepest ancestor of leaf i+1 holding x, and ancestors
-    # come first in the canonical order, so each x < i+1 goes to the last one.
-    rows: list[dict[int, list[int]]] = []
-    for i in range(1, m + 1):
-        leaf = 1 << (i + 1)
-        free = leaf - 2 if k is None else 1 << k[i - 1]  # the labels not yet placed
-        choices: dict[int, list[int]] = {}
-        for p in range(m - 1, -1, -1):
-            if family[p] & leaf and family[p] & free:
-                choices[p] = _bits(family[p] & free)
-                free &= ~family[p]
-        rows.append(choices)
-    coords: dict[KSequence, int] = {}
-    _extend(rows, [], coords)
-    return coords
+    image, choices = [], []
+    for i in range(2, len(family) + 2):
+        leaf, below = 1 << i, (1 << i) - 2
+        # b_{i-1} is the last mask in canonical order holding i and a smaller label
+        p = len(family) - 1
+        while not (family[p] & leaf and family[p] & below):
+            p -= 1
+        image.append(p)
+        choices.append(_bits(family[p] & below))
+    return dict.fromkeys(itertools.product(*choices), perm_sign_of(image))
 
 
-def _extend(rows: list[dict[int, list[int]]], image: list[int],
-            coords: dict[KSequence, int]) -> None:
-    """Backtrack from the rows `image` has placed: each bijection found adds
-    its sign at every k whose rows select it."""
-    if len(image) == len(rows):
-        sign = perm_sign_of(image)
-        for seq in itertools.product(*(row[a] for row, a in zip(rows, image))):
-            coords[seq] = sign
-        return
-    for a in rows[len(image)]:
-        if a not in image:
-            image.append(a)
-            _extend(rows, image, coords)
-            image.pop()
+def _coordinate(family: Masks, k: KSequence) -> int:
+    """det(incidence_matrix(k, t)) of the tree t whose canonical mask family
+    is `family`: the sign of the LCA image i -> a_i if it is injective, else
+    0.  LCA(k_i, i+1) is the last mask in canonical order holding both."""
+    image: list[int] = []
+    for i, ki in enumerate(k, start=2):
+        both = 1 << ki | 1 << i
+        p = len(family) - 1
+        while family[p] & both != both:
+            p -= 1
+        if p in image:
+            return 0
+        image.append(p)
+    return perm_sign_of(image)
 
 
 def pair(k: Sequence[int], t: Tree) -> int:
     """Pairing of the k-th top-degree basis monomial against the tree's cycle:
-    (-1)^C(g-2,2) times the incidence determinant in canonical ordering."""
+    (-1)^C(g-2,2) times the incidence determinant in canonical ordering, read
+    from the one LCA image of k's rows."""
     k = _validate_for(k, t)
-    return (-1) ** math.comb(t.genus - 2, 2) * _coordinates(_family(t), k=k).get(k, 0)
+    return (-1) ** math.comb(t.genus - 2, 2) * _coordinate(_family(t), k)
 
 
 def pair_class(c: CohomologyClass, t: Tree) -> int:
@@ -275,7 +274,8 @@ def decompose(t: Tree) -> CycleDecomposition:
     determinants, as LCA permutation signs over the support.  Refused when
     the (g-2)! worst-case support is over MAX_TREES."""
     _check_support(t.genus)
-    return CycleDecomposition.from_dict(t.genus, _coordinates(_family(t)))
+    # the kernel yields no zero and its keys in order: from_dict's work is done
+    return CycleDecomposition(t.genus, tuple(_coordinates(_family(t)).items()))
 
 
 def _check_support(g: int) -> None:

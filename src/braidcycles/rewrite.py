@@ -324,45 +324,48 @@ def _reduce(t: Tree, trace: TraceHook | None = None,
     """The coordinates {k: coeff * epsilon(k)} of reduce_to_balanced(t), with
     no terms built.  The result may be the shared memo's; do not mutate it."""
     limit = _BUDGET_BASE ** t.genus if step_limit is None else step_limit
-    steps = 0
     memo = _SHARED_MEMO if step_limit is None else {}
-
-    def reduce_family(masks: Masks) -> tuple[int, dict[KSequence, int]]:
-        nonlocal steps
-        if trace is None and (known := memo.get(masks)) is not None:
-            return known
-        firsts, v = _scan(masks)
-        if v is None:
-            k, eps = _balanced_k(masks)
-            result = (1, {k: eps})
-        else:
-            steps += 1
-            if steps > limit:
-                raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
-            i, u1, u2, v2 = _rotation(masks, v, firsts)
-            family_a, sigma_a = _replaced(masks, i, u1 | v2)
-            family_b, sigma_b = _replaced(masks, i, v2 | u2)
-            if trace is not None:
-                trace({"at": i + 1,
-                       "triple": [_build(f).render() for f in (masks, family_a, family_b)]})
-            # sum -sigma * sign * coords: copy the larger dict, add the smaller
-            sign_a, a = reduce_family(family_a)
-            sign_b, b = reduce_family(family_b)
-            sign_a, sign_b = -sigma_a * sign_a, -sigma_b * sign_b
-            if len(a) < len(b):
-                sign_a, a, sign_b, b = sign_b, b, sign_a, a
-            merged, factor = a.copy(), sign_a * sign_b
-            for k, c in b.items():
-                if c := merged.get(k, 0) + factor * c:
-                    merged[k] = c
-                else:
-                    del merged[k]
-            result = (sign_a, merged)
-        if trace is None:
-            if len(memo) >= _CACHE_CAP:
-                memo.clear()
-            memo[masks] = result
-        return result
-
-    sign, coords = reduce_family(_family(t))
+    sign, coords = _reduce_family(_family(t), memo, trace, [0], limit)
     return coords if sign == 1 else {k: -c for k, c in coords.items()}
+
+
+def _reduce_family(masks: Masks, memo: dict[Masks, tuple[int, dict[KSequence, int]]],
+                   trace: TraceHook | None, steps: list[int],
+                   limit: int) -> tuple[int, dict[KSequence, int]]:
+    """(sign, coords) of a family's reduction, sign times coords, from or into
+    `memo` unless traced; steps[0] counts rotations against `limit`.  Not a
+    closure, so that a call leaves no reference cycle behind."""
+    if trace is None and (known := memo.get(masks)) is not None:
+        return known
+    firsts, v = _scan(masks)
+    if v is None:
+        k, eps = _balanced_k(masks)
+        result = (1, {k: eps})
+    else:
+        steps[0] += 1
+        if steps[0] > limit:
+            raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
+        i, u1, u2, v2 = _rotation(masks, v, firsts)
+        family_a, sigma_a = _replaced(masks, i, u1 | v2)
+        family_b, sigma_b = _replaced(masks, i, v2 | u2)
+        if trace is not None:
+            trace({"at": i + 1,
+                   "triple": [_build(f).render() for f in (masks, family_a, family_b)]})
+        # sum -sigma * sign * coords: copy the larger dict, add the smaller
+        sign_a, a = _reduce_family(family_a, memo, trace, steps, limit)
+        sign_b, b = _reduce_family(family_b, memo, trace, steps, limit)
+        sign_a, sign_b = -sigma_a * sign_a, -sigma_b * sign_b
+        if len(a) < len(b):
+            sign_a, a, sign_b, b = sign_b, b, sign_a, a
+        merged, factor = a.copy(), sign_a * sign_b
+        for k, c in b.items():
+            if c := merged.get(k, 0) + factor * c:
+                merged[k] = c
+            else:
+                del merged[k]
+        result = (sign_a, merged)
+    if trace is None:
+        if len(memo) >= _CACHE_CAP:
+            memo.clear()
+        memo[masks] = result
+    return result

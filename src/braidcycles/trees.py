@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
@@ -36,6 +35,8 @@ MAX_DEPTH = 100
 
 # The most trees one enumeration builds: the (2g-5)!! trees of genus 10.
 MAX_TREES = 2_027_025
+# A refusal writes a tree count up to this in full, a larger one as its formula.
+_COUNT_SHOWN = 10 ** 18
 
 Masks = tuple[int, ...]  # a canonical family as bitmasks, bit x for label x
 
@@ -53,13 +54,14 @@ def _masks(sets: Iterable[frozenset[int]]) -> Masks:
     return tuple(sum(1 << x for x in s) for s in sets)
 
 
-def _bits(m: int) -> list[int]:
-    """The labels of a mask, lowest first."""
+@functools.lru_cache(maxsize=_CACHE_CAP)
+def _bits(m: int) -> tuple[int, ...]:
+    """The labels of a mask, lowest first, one shared tuple per mask."""
     labels = []
     while m:
         labels.append((m & -m).bit_length() - 1)
         m &= m - 1
-    return labels
+    return tuple(labels)
 
 
 @functools.lru_cache(maxsize=_CACHE_CAP)
@@ -76,10 +78,14 @@ def _walk(node: Node, n: int, masks: list[int]) -> tuple[Node, int]:
         return node, 1 << node if 0 < node <= n and node is not True else 0
     if not (isinstance(node, (tuple, list)) and len(node) == 2):
         raise TreeError("internal nodes must have exactly two children")
-    a, ma = _walk(node[0], n, masks)
-    b, mb = _walk(node[1], n, masks)
-    ca, cb = ma.bit_count(), mb.bit_count()
+    return _join(*_walk(node[0], n, masks), *_walk(node[1], n, masks), masks)
+
+
+def _join(a: Node, ma: int, b: Node, mb: int, masks: list[int]) -> tuple[Node, int]:
+    """The canonical node over children a and b of masks ma and mb, and its
+    mask, appended to `masks`; the child first by mask key goes first."""
     masks.append(mask := ma | mb)
+    ca, cb = ma.bit_count(), mb.bit_count()
     if ca < cb or ca == cb and mb & -mb < ma & -ma:
         return (b, a), mask
     return (a, b), mask
@@ -189,40 +195,47 @@ def parse_tree(text: str) -> Tree:
     """Parse `TREE := LEAF | "(" TREE "," TREE ")"` into a canonical Tree.
 
     Whitespace is ignored and the child order of the input is irrelevant.
-    Raises TreeError on malformed syntax, nesting deeper than MAX_DEPTH,
-    duplicate labels, labels that are not exactly 1..n, or fewer than two
-    leaves.
+    One descent reads the text, orders the children and builds the mask
+    family the Tree carries.  Raises TreeError on malformed syntax, nesting
+    deeper than MAX_DEPTH, duplicate labels, labels that are not exactly
+    1..n, or fewer than two leaves.
     """
     s = "".join(text.split())
     depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
     if s.count("(") > MAX_DEPTH and max(depths) > MAX_DEPTH:
         raise TreeError(f"tree nested deeper than {MAX_DEPTH} levels")
-    node, pos = _parse_node(s, 0)
+    n = s.count(",") + 1  # a binary tree has one leaf more than it has commas
+    masks: list[int] = []
+    node, root, pos = _parse_node(s, 0, n, masks)
     if pos != len(s):
         raise TreeError(f"trailing input at position {pos}")
-    # the text check above bounds the depth, so no _check_depth scan; a
-    # binary tree has one leaf more than it has commas
-    return Tree._trusted(*_validated(node, s.count(",") + 1))
+    if root != (2 << n) - 2 or n < 2:
+        _check_labels(_check_depth(node), n + 1)
+    masks.sort(key=_mask_key)
+    return Tree._trusted(node, n + 1, tuple(masks))
 
 
-def _parse_node(s: str, pos: int) -> tuple[Node, int]:
-    """The node of `s` that starts at `pos`, and the position after it."""
+def _parse_node(s: str, pos: int, n: int, masks: list[int]) -> tuple[Node, int, int]:
+    """The canonical node of `s` that starts at `pos`, its mask and the
+    position after it, appending each internal node's mask to `masks`; a leaf
+    gets a bit only if it is in 1..n, as in _walk."""
     if pos >= len(s):
         raise TreeError("unexpected end of input")
     if s[pos] == "(":
-        a, pos = _parse_node(s, pos + 1)
+        a, ma, pos = _parse_node(s, pos + 1, n, masks)
         if pos >= len(s) or s[pos] != ",":
             raise TreeError(f"expected ',' at position {pos}")
-        b, pos = _parse_node(s, pos + 1)
+        b, mb, pos = _parse_node(s, pos + 1, n, masks)
         if pos >= len(s) or s[pos] != ")":
             raise TreeError(f"expected ')' at position {pos}")
-        return (a, b), pos + 1
+        return (*_join(a, ma, b, mb, masks), pos + 1)
     start = pos
     while pos < len(s) and s[pos].isdecimal():  # what int() accepts, unlike isdigit
         pos += 1
     if pos == start:
         raise TreeError(f"expected a leaf label at position {pos}")
-    return int(s[start:pos]), pos
+    label = int(s[start:pos])
+    return label, 1 << label if 0 < label <= n else 0, pos
 
 
 def render_tree(t: Tree) -> str:
@@ -319,16 +332,22 @@ def _tree_lists(g: int, balanced: bool) -> tuple[list[Node], list[str]]:
     ones, as unsorted parallel lists; refused if over MAX_TREES trees."""
     if g < 3:
         raise TreeError(f"genus must be at least 3, got {g}")
-    if (count := _tree_count(g, balanced)) > MAX_TREES:
-        raise TreeError(f"genus {g} has {count} {'balanced ' * balanced}trees, "
+    if (count := _tree_count(g, balanced)) is None or count > MAX_TREES:
+        shown = count or (f"{g - 2}!" if balanced else f"{2 * g - 5}!!")
+        raise TreeError(f"genus {g} has {shown} {'balanced ' * balanced}trees, "
                         f"over the enumeration budget of {MAX_TREES}")
     memo: dict[int, tuple[list[Node], list[str]]] = {1 << x: ([x], [str(x)]) for x in range(1, g)}
     return _splits((1 << g) - 2, balanced, memo)
 
 
-def _tree_count(g: int, balanced: bool) -> int:
-    """The closed formula: (g-2)! balanced trees, (2g-5)!! trees in all."""
-    return math.factorial(g - 2) if balanced else math.prod(range(2 * g - 5, 0, -2))
+def _tree_count(g: int, balanced: bool) -> int | None:
+    """The closed formula, (g-2)! balanced trees and (2g-5)!! in all, or None
+    past _COUNT_SHOWN, where the product stops: no huge integer is built."""
+    count = 1
+    for factor in range(2, g - 1) if balanced else range(3, 2 * g - 4, 2):
+        if (count := count * factor) > _COUNT_SHOWN:
+            return None
+    return count
 
 
 def _splits(mask: int, balanced: bool,

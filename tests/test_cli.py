@@ -125,6 +125,21 @@ class TestTrees:
         assert err.startswith(f"error: genus {g} has ")
         assert err.endswith(" trees, over the enumeration budget of 2027025\n")
 
+    @pytest.mark.parametrize("argv, count", (
+        (("trees", "--g", "3000", "--count"), "5995!! trees"),
+        (("trees", "--g", "3000", "--balanced", "--count"), "2998! balanced trees"),
+        (("verify", "--suite", "crosspath", "--g", "3000"), "5995!! trees"),
+        (("verify", "--suite", "relations", "--g", "3000", "--sample", "10"), "5995!! trees"),
+    ))
+    def test_huge_genus_exits_1_with_message(self, run, monkeypatch, argv, count):
+        # the count has over 9,000 digits: it is written as its formula
+        def splits(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(trees_module, "_splits", splits)
+        assert run(*argv) == (1, "", f"error: genus 3000 has {count}, "
+                                     f"over the enumeration budget of 2027025\n")
+
 
 class TestDecompose:
     def test_both_json_golden(self, run):

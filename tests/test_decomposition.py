@@ -10,6 +10,7 @@ import braidcycles.decomposition as decomposition
 from braidcycles.arnold import CohomologyClass, straighten, w, w_basis_index
 from braidcycles.decomposition import (
     CycleDecomposition,
+    _coordinate,
     _coordinates,
     balanced_tree_to_k,
     build_balanced_tree,
@@ -39,6 +40,8 @@ from braidcycles.trees import (
     is_balanced,
     parse_tree,
 )
+import coordinate_oracle
+from rotation_oracle import remy_tree
 from tree_oracle import insert_leaf, node_count
 
 
@@ -240,7 +243,7 @@ class TestCoordinateKernel:
         sign = 1 if ordering is None else parity_between(ordering, descendant_sets(t))
         expected = det_by_permutation_expansion(incidence_matrix(k, t, ordering=ordering))
         assert sign * _coordinates(_family(t)).get(k, 0) == expected
-        assert _coordinates(_family(t), k=k) == ({k: sign * expected} if expected else {})
+        assert _coordinate(_family(t), k) == sign * expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -254,6 +257,43 @@ class TestCoordinateKernel:
             expected = det_by_permutation_expansion(incidence_matrix(k, t, ordering=ordering))
             assert sign * coords.get(k, 0) == expected
         assert set(coords.values()) <= {-1, 1}
+
+    @pytest.mark.parametrize("g", range(3, 7))
+    def test_one_coordinate_vs_bareiss_every_k(self, g):
+        # pair and _coordinate read the one LCA image of k's rows
+        sign = -1 if math.comb(g - 2, 2) % 2 else 1
+        for t in enumerate_trees(g):
+            for k in k_sequences(g):
+                expected = det(incidence_matrix(k, t))
+                assert pair(k, t) == sign * expected
+                assert _coordinate(_family(t), k) == expected
+
+    def test_one_coordinate_vs_support_kernel_genus_7(self):
+        ks = k_sequences(7)
+        for t in enumerate_trees(7):
+            family = _family(t)
+            coords = _coordinates(family)
+            assert [_coordinate(family, k) for k in ks] == [coords.get(k, 0) for k in ks]
+
+    def test_one_coordinate_vs_support_kernel_sampled_genus_9(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            family = _family(remy_tree(9, rng))
+            coords = _coordinates(family)
+            # a uniform k, and one from the support (nearly all uniform k miss it)
+            for k in (tuple(rng.randint(1, i) for i in range(1, 8)), rng.choice(list(coords))):
+                assert _coordinate(family, k) == coords.get(k, 0)
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_support_kernel_vs_backtracking_oracle(self, g):
+        # the one-image kernel gives the backtracking kernel's output, keys in
+        # lexicographic order (decompose keeps that order without sorting)
+        for t in enumerate_trees(g):
+            family = _family(t)
+            coords = _coordinates(family)
+            assert coords == coordinate_oracle.coordinates(family)
+            assert list(coords) == sorted(coords)
+            assert len(set(coords.values())) == 1
 
 
 class TestPair:

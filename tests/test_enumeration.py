@@ -1,5 +1,7 @@
 """The direct canonical enumeration against the canonicalize-everything oracle."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,27 @@ class TestBudget:
         message = (f"^genus {g} has {count} {'balanced ' * balanced}trees, "
                    f"over the enumeration budget of 2027025$")
         with pytest.raises(TreeError, match=message):
+            (enumerate_balanced if balanced else enumerate_trees)(g)
+
+    @pytest.mark.parametrize("g, balanced, count", (
+        (19, False, "33!!"),  # 33!! is about 6.3e18, past the 10^18 written in full
+        (22, True, "20!"),
+        (3000, False, "5995!!"),  # over 9,000 digits, more than int-to-str converts
+        (3000, True, "2998!"),
+        (10**6, False, "1999995!!"),
+    ))
+    def test_huge_genus_refused_with_formula(self, no_enumeration, g, balanced, count):
+        message = (f"^genus {g} has {re.escape(count)} {'balanced ' * balanced}trees, "
+                   f"over the enumeration budget of 2027025$")
+        with pytest.raises(TreeError, match=message):
+            (enumerate_balanced if balanced else enumerate_trees)(g)
+
+    @pytest.mark.parametrize("g, balanced, count", (
+        (18, False, 191_898_783_962_510_625), (21, True, 121_645_100_408_832_000),
+    ))
+    def test_largest_counts_written_in_full(self, no_enumeration, g, balanced, count):
+        assert count <= 10**18 < count * (g - 1 if balanced else 2 * g - 3)
+        with pytest.raises(TreeError, match=f"^genus {g} has {count} "):
             (enumerate_balanced if balanced else enumerate_trees)(g)
 
     @pytest.mark.parametrize("g, balanced", ((10, False), (11, True)))

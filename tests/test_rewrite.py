@@ -192,7 +192,7 @@ class TestDeterminantIdentity:
     def test_rewrite_module_has_no_determinant_names(self):
         # the rewriting route stays independent of the determinant route
         names = vars(rewrite_module)
-        for name in ("det", "incidence_matrix", "k_sequences", "_coordinates",
+        for name in ("det", "incidence_matrix", "k_sequences", "_coordinates", "_coordinate",
                      "verify_cyclic_determinant_identity"):
             assert name not in names
 

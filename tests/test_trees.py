@@ -57,6 +57,33 @@ def random_tree(rng, n):
     return Tree.from_node(clusters[0])
 
 
+# Texts the one-descent parser must refuse with exactly these messages; the
+# syntax faults name the position where the descent stopped.
+MALFORMED_TEXTS = {
+    "": "unexpected end of input",
+    "(": "unexpected end of input",
+    "(1": "expected ',' at position 2",
+    "(1,": "unexpected end of input",
+    "(1,2": "expected ')' at position 4",
+    "(1,2))": "trailing input at position 5",
+    "(,1)": "expected a leaf label at position 1",
+    "(1;2)": "expected ',' at position 2",
+    "(1,\u00b2)": "expected a leaf label at position 3",
+    "((1,2),3": "expected ')' at position 8",
+    "(1,2,3)": "expected ')' at position 4",
+    "((1,2)3)": "expected ',' at position 6",
+    "( (1,2) ,x)": "expected a leaf label at position 7",
+    "(1,+2)": "expected a leaf label at position 3",
+    "1,2": "trailing input at position 1",
+    "(" * 101 + "1" + ",2)" * 101: f"tree nested deeper than {MAX_DEPTH} levels",
+    "(" * 100 + "1" + ",2)" * 99: "expected ',' at position 398",
+    "(1,100000000000000000000)": "leaf labels must be exactly 1..2, got [1, 100000000000000000000]",
+    "((1,1),3)": "duplicate leaf label 1",
+    "(0,1)": "leaf labels must be positive, got 0",
+    "1": "a tree needs at least 2 leaves (genus >= 3)",
+}
+
+
 class TestParse:
     def test_smallest(self):
         t = parse_tree("(1,2)")
@@ -102,6 +129,14 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(TreeError):
             parse_tree(bad)
+
+    @pytest.mark.parametrize("text, message", MALFORMED_TEXTS.items(),
+                             ids=[repr(t) if len(t) < 30 else f"nested {t.count('(')}"
+                                  for t in MALFORMED_TEXTS])
+    def test_malformed_messages(self, text, message):
+        with pytest.raises(TreeError) as got:
+            parse_tree(text)
+        assert str(got.value) == message
 
     def test_digits_int_rejects_are_not_labels(self):
         # "²" is a digit to str.isdigit, but int() refuses it
@@ -430,8 +465,9 @@ class TestCarriedFamily:
 
 
 def test_query_path_leaves_no_reference_cycle():
-    """Parsing, building, the family walk and the determinant queries free
-    everything they make by reference counting; the collector finds nothing."""
+    """Parsing, building, the family walk, the determinant queries and the
+    rewriting route free everything they make by reference counting; the
+    collector finds nothing."""
     rng = random.Random(9)
     trees, balanced = enumerate_trees(6), enumerate_balanced(6)
     texts = [node_text(shuffled(rng, t.root)) for t in trees]
@@ -444,6 +480,7 @@ def test_query_path_leaves_no_reference_cycle():
             Tree.from_node(t.root)
             decompose(t)
             pair(tuple(rng.randint(1, i) for i in range(1, t.genus - 1)), t)
+            reduce_to_balanced(t).to_decomposition()
         for t in trees:
             _family(t)
         for t in balanced:

@@ -142,9 +142,9 @@ class TestRelations:
         calls = []
         coordinates = verification._coordinates
 
-        def counted(family, k=None):
+        def counted(family):
             calls.append(family)
-            return coordinates(family, k=k)
+            return coordinates(family)
 
         monkeypatch.setattr(verification, "_coordinates", counted)
         report = verify_relations(6, sample=1000, seed=0)
