@@ -17,7 +17,7 @@ from .arnold import format_class, parse_expression
 from .decomposition import decompose, pair, validate_k
 from .errors import DomainError
 from .rewrite import reduce_to_balanced
-from .trees import _json_listing, _tree_lists, parse_tree
+from .trees import _json_listing, _split_count, _tree_lists, parse_tree
 from .verification import SUITES
 
 _SAMPLE_DEFAULTS = {"relations": 10000, "arnold": 1000}
@@ -98,7 +98,7 @@ def _parse_k(text: str) -> tuple[int, ...]:
 
 def _cmd_trees(args) -> int:
     if args.count:
-        count = len(_tree_lists(args.g, args.balanced)[1])
+        count = _split_count(args.g, args.balanced)
         print(_dump({"g": args.g, "balanced": args.balanced, "count": count})
               if args.format == "json" else count)
     elif args.format == "json":

@@ -29,7 +29,7 @@ from typing import Sequence
 from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
 from .errors import DomainError
 from .trees import (_CACHE_CAP, MAX_TREES, Masks, Tree, _bits, _build, _family, _labels,
-                    _mask_key, descendant_sets)
+                    _mask_key, _tree_count, descendant_sets)
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -279,13 +279,10 @@ def decompose(t: Tree) -> CycleDecomposition:
 
 
 def _check_support(g: int) -> None:
-    """Refuse a genus whose (g-2)! balanced trees are over MAX_TREES; the
-    product stops at the first factor past the budget, however large g is."""
-    count = 1
-    for m in range(2, g - 1):
-        if (count := count * m) > MAX_TREES:
-            raise DomainError(f"genus {g} trees decompose into up to {g - 2}! terms, "
-                              f"over the decomposition budget of {MAX_TREES}")
+    """Refuse a genus whose (g-2)! balanced trees are over MAX_TREES."""
+    if (count := _tree_count(g, True)) is None or count > MAX_TREES:
+        raise DomainError(f"genus {g} trees decompose into up to {g - 2}! terms, "
+                          f"over the decomposition budget of {MAX_TREES}")
 
 
 def duality_table(g: int) -> list[list[int]]:

@@ -35,6 +35,9 @@ MAX_DEPTH = 100
 
 # The most trees one enumeration builds: the (2g-5)!! trees of genus 10.
 MAX_TREES = 2_027_025
+# Python's default int-string limit: a longer label is refused, not read or written.
+MAX_LABEL_DIGITS = 4300
+_LONG_LABEL = f"leaf labels must have at most {MAX_LABEL_DIGITS} digits"
 # A refusal writes a tree count up to this in full, a larger one as its formula.
 _COUNT_SHOWN = 10 ** 18
 
@@ -106,10 +109,13 @@ def _validated(node: Node, n: int, genus: int | None = None) -> tuple[Node, int,
 
 def _check_labels(leaves: list[int], genus: int) -> None:
     """Reject the first fault in a fixed order that does not depend on where
-    it sits in the tree: a bool leaf, the smallest label below 1, the smallest
-    repeated label, fewer than 2 leaves, labels not exactly 1..n, the genus."""
+    it sits in the tree: a bool leaf, a label over MAX_LABEL_DIGITS digits,
+    the smallest label below 1, the smallest repeated label, fewer than 2
+    leaves, labels not exactly 1..n, the genus."""
     if bools := [lab for lab in leaves if isinstance(lab, bool)]:
         raise TreeError(f"leaf labels must be integers, got {min(bools)!r}")
+    if any(abs(lab) >= 10 ** MAX_LABEL_DIGITS for lab in leaves):
+        raise TreeError(_LONG_LABEL)
     labels = sorted(leaves)
     n = len(labels)
     if labels[0] < 1:
@@ -234,7 +240,11 @@ def _parse_node(s: str, pos: int, n: int, masks: list[int]) -> tuple[Node, int, 
         pos += 1
     if pos == start:
         raise TreeError(f"expected a leaf label at position {pos}")
-    label = int(s[start:pos])
+    digits = s[start:pos]
+    if pos - start > MAX_LABEL_DIGITS:  # read past zero padding
+        if len(digits := digits.lstrip("0") or "0") > MAX_LABEL_DIGITS:
+            raise TreeError(_LONG_LABEL)
+    label = int(digits)
     return label, 1 << label if 0 < label <= n else 0, pos
 
 
@@ -330,14 +340,18 @@ def _enumerate(g: int, balanced: bool) -> list[Tree]:
 def _tree_lists(g: int, balanced: bool) -> tuple[list[Node], list[str]]:
     """The canonical roots and texts of the genus-g trees, or of the balanced
     ones, as unsorted parallel lists; refused if over MAX_TREES trees."""
+    _check_enumeration(g, balanced)
+    return _splits((1 << g) - 2, balanced, {1 << x: ([x], [str(x)]) for x in range(1, g)})
+
+
+def _check_enumeration(g: int, balanced: bool) -> None:
+    """Refuse genus below 3, or more than MAX_TREES trees, before any work."""
     if g < 3:
         raise TreeError(f"genus must be at least 3, got {g}")
     if (count := _tree_count(g, balanced)) is None or count > MAX_TREES:
         shown = count or (f"{g - 2}!" if balanced else f"{2 * g - 5}!!")
         raise TreeError(f"genus {g} has {shown} {'balanced ' * balanced}trees, "
                         f"over the enumeration budget of {MAX_TREES}")
-    memo: dict[int, tuple[list[Node], list[str]]] = {1 << x: ([x], [str(x)]) for x in range(1, g)}
-    return _splits((1 << g) - 2, balanced, memo)
 
 
 def _tree_count(g: int, balanced: bool) -> int | None:
@@ -353,28 +367,45 @@ def _tree_count(g: int, balanced: bool) -> int | None:
 def _splits(mask: int, balanced: bool,
             memo: dict[int, tuple[list[Node], list[str]]]) -> tuple[list[Node], list[str]]:
     """The canonical subtrees on the labels of `mask` and their texts, as
-    parallel lists (no (node, text) pairs for the garbage collector to scan).
+    parallel lists (no (node, text) pairs for the garbage collector to scan),
+    one product of the parts' lists per split of _parts."""
+    if (got := memo.get(mask)) is not None:
+        return got
+    nodes: list[Node] = []
+    texts: list[str] = []
+    for first, last in _parts(mask, balanced):
+        first_nodes, first_texts = _splits(first, balanced, memo)
+        last_nodes, last_texts = _splits(last, balanced, memo)
+        nodes += [(x, y) for x in first_nodes for y in last_nodes]
+        texts += [f"({x},{y})" for x in first_texts for y in last_texts]
+    memo[mask] = (nodes, texts)
+    return nodes, texts
+
+
+def _split_count(g: int, balanced: bool) -> int:
+    """len(_tree_lists(g, balanced)[1]), refused alike, with no list built: the
+    splits of _parts counted per label mask, smaller masks first."""
+    _check_enumeration(g, balanced)
+    count = dict.fromkeys((1 << x for x in range(1, g)), 1)  # the leaves
+    for mask in range(2, 1 << g, 2):
+        if mask not in count:
+            count[mask] = sum(count[a] * count[b] for a, b in _parts(mask, balanced))
+    return count[(1 << g) - 2]
+
+
+def _parts(mask: int, balanced: bool) -> Iterator[tuple[int, int]]:
+    """(first, last) child masks of each split of `mask` at a canonical node.
     B runs over the nonempty submasks of `rest` and A = mask ^ B keeps the
     lowest label, so each split is met once; the larger part goes first, A on
     a tie (the canonical key).  A balanced split puts the second-lowest in B."""
-    if (got := memo.get(mask)) is not None:
-        return got
     rest = mask ^ (mask & -mask)
     second = rest & -rest
-    nodes: list[Node] = []
-    texts: list[str] = []
     sub = rest
     while sub:
         if not balanced or sub & second:
             a = mask ^ sub
-            first, last = (a, sub) if a.bit_count() >= sub.bit_count() else (sub, a)
-            first_nodes, first_texts = _splits(first, balanced, memo)
-            last_nodes, last_texts = _splits(last, balanced, memo)
-            nodes += [(x, y) for x in first_nodes for y in last_nodes]
-            texts += [f"({x},{y})" for x in first_texts for y in last_texts]
+            yield (a, sub) if a.bit_count() >= sub.bit_count() else (sub, a)
         sub = (sub - 1) & rest
-    memo[mask] = (nodes, texts)
-    return nodes, texts
 
 
 def _build(masks: Masks) -> Tree:

@@ -40,6 +40,8 @@ from .rewrite import CyclicTriple, _cyclic_blocks, _reduce, _replaced, _rotation
 from .trees import (_CACHE_CAP, Masks, Tree, _build, _family, _tree_count, _tree_lists,
                     enumerate_trees)
 
+MAX_SAMPLE = 1_000_000  # the most cases a sampling suite draws: arnold at n=6 takes ~50 s
+
 
 @dataclass
 class SuiteReport:
@@ -190,6 +192,8 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
 def _check_sample(sample: int) -> None:
     if sample < 1:
         raise DomainError(f"sample must be at least 1, got {sample}")
+    if sample > MAX_SAMPLE:
+        raise DomainError(f"sample is over the sampling budget of {MAX_SAMPLE}")
 
 
 def _sample_indices(size: int, sample: int, seed: int) -> list[int]:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import braidcycles.cli as cli_module
 import braidcycles.trees as trees_module
 from braidcycles import decomposition, rewrite, verification
 from braidcycles.cli import main
@@ -86,6 +87,20 @@ class TestTrees:
             f"{text}\n" for text in sorted(trees_module._tree_lists(5, True)[1])))
         assert run("verify", "--suite", "counts", "--g", "6")[0] == 0
 
+    @pytest.mark.parametrize("g", range(3, 11))
+    def test_count_builds_no_list(self, run, monkeypatch, g):
+        def lists(*args):
+            raise AssertionError("a list was built")
+
+        monkeypatch.setattr(cli_module, "_tree_lists", lists)
+        monkeypatch.setattr(trees_module, "_splits", lists)
+        for balanced in (False, True):
+            count = trees_module._tree_count(g, balanced)
+            flags = ["--balanced"] * balanced
+            assert run("trees", "--g", str(g), "--count", *flags) == (0, f"{count}\n", "")
+            assert run("trees", "--g", str(g), "--count", "--format", "json", *flags) == (
+                0, f'{{"balanced":{str(balanced).lower()},"count":{count},"g":{g}}}\n', "")
+
     @pytest.mark.parametrize("g", range(3, 9))
     @pytest.mark.parametrize("balanced", (False, True))
     def test_json_listing_is_one_dump_of_all_trees(self, run, g, balanced):
@@ -116,10 +131,11 @@ class TestTrees:
         ("verify", 11, ("--suite", "relations")),
     ))
     def test_over_budget_exits_1_before_any_work(self, run, monkeypatch, command, g, flags):
-        def splits(*args):
+        def parts(*args):
             raise AssertionError("the enumeration started")
 
-        monkeypatch.setattr(trees_module, "_splits", splits)
+        # the one split rule behind both the lists and the count
+        monkeypatch.setattr(trees_module, "_parts", parts)
         code, out, err = run(command, "--g", str(g), *flags)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: genus {g} has ")
@@ -133,10 +149,10 @@ class TestTrees:
     ))
     def test_huge_genus_exits_1_with_message(self, run, monkeypatch, argv, count):
         # the count has over 9,000 digits: it is written as its formula
-        def splits(*args):
+        def parts(*args):
             raise AssertionError("the enumeration started")
 
-        monkeypatch.setattr(trees_module, "_splits", splits)
+        monkeypatch.setattr(trees_module, "_parts", parts)
         assert run(*argv) == (1, "", f"error: genus 3000 has {count}, "
                                      f"over the enumeration budget of 2027025\n")
 
@@ -193,6 +209,10 @@ class TestDecompose:
         assert run("decompose", "--tree", "(1,100000000000000000000)") == (
             1, "", "error: leaf labels must be exactly 1..2, got [1, 100000000000000000000]\n")
 
+    def test_label_over_the_digit_limit_exits_1(self, run):
+        # past Python's int-string limit: refused before int() reads it
+        assert run("decompose", "--tree", "(1," + "9" * 5000 + ")") == (
+            1, "", "error: leaf labels must have at most 4300 digits\n")
     def test_rewrite_budget_exits_1(self, run, monkeypatch):
         monkeypatch.setattr(rewrite, "_BUDGET_BASE", 0)  # budget 0 ** g = 0 rotations
         monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
@@ -301,6 +321,18 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "sample must be at least 1" in err
+
+    @pytest.mark.parametrize("suite, param, sample", [
+        ("relations", "7", "99999999999999999999999"), ("arnold", "6", "99999999999999999"),
+        ("relations", "7", "1000001"),
+    ])
+    def test_sample_over_budget_exits_1(self, run, monkeypatch, suite, param, sample):
+        def drawn(*args):
+            raise AssertionError("the draws started")
+
+        monkeypatch.setattr(verification, "_sample_indices", drawn)
+        assert run("verify", "--suite", suite, "--g", param, "--sample", sample) == (
+            1, "", "error: sample is over the sampling budget of 1000000\n")
 
     def test_seeded_json_stable_modulo_millis(self, run):
         argv = ("verify", "--suite", "relations", "--g", "6",

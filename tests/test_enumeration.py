@@ -132,10 +132,19 @@ class TestFromNodeValidation:
 
 @pytest.fixture
 def no_enumeration(monkeypatch):
-    def splits(*args):
+    # the one split rule behind both the lists and the count
+    def parts(*args):
         raise AssertionError("the enumeration started")
 
-    monkeypatch.setattr(trees_module, "_splits", splits)
+    monkeypatch.setattr(trees_module, "_parts", parts)
+
+
+def both_refused(g, balanced, message):
+    """Listing and counting refuse `g` with the same message."""
+    for request in (enumerate_balanced if balanced else enumerate_trees,
+                    lambda g: trees_module._split_count(g, balanced)):
+        with pytest.raises(TreeError, match=message):
+            request(g)
 
 
 class TestBudget:
@@ -147,8 +156,7 @@ class TestBudget:
     def test_refused_before_any_work(self, no_enumeration, g, balanced, count):
         message = (f"^genus {g} has {count} {'balanced ' * balanced}trees, "
                    f"over the enumeration budget of 2027025$")
-        with pytest.raises(TreeError, match=message):
-            (enumerate_balanced if balanced else enumerate_trees)(g)
+        both_refused(g, balanced, message)
 
     @pytest.mark.parametrize("g, balanced, count", (
         (19, False, "33!!"),  # 33!! is about 6.3e18, past the 10^18 written in full
@@ -160,16 +168,14 @@ class TestBudget:
     def test_huge_genus_refused_with_formula(self, no_enumeration, g, balanced, count):
         message = (f"^genus {g} has {re.escape(count)} {'balanced ' * balanced}trees, "
                    f"over the enumeration budget of 2027025$")
-        with pytest.raises(TreeError, match=message):
-            (enumerate_balanced if balanced else enumerate_trees)(g)
+        both_refused(g, balanced, message)
 
     @pytest.mark.parametrize("g, balanced, count", (
         (18, False, 191_898_783_962_510_625), (21, True, 121_645_100_408_832_000),
     ))
     def test_largest_counts_written_in_full(self, no_enumeration, g, balanced, count):
         assert count <= 10**18 < count * (g - 1 if balanced else 2 * g - 3)
-        with pytest.raises(TreeError, match=f"^genus {g} has {count} "):
-            (enumerate_balanced if balanced else enumerate_trees)(g)
+        both_refused(g, balanced, f"^genus {g} has {count} ")
 
     @pytest.mark.parametrize("g, balanced", ((10, False), (11, True)))
     def test_largest_accepted_requests(self, monkeypatch, g, balanced):
@@ -185,5 +191,23 @@ class TestBudget:
 
     @pytest.mark.parametrize("g", (2, 0, -5))
     def test_small_genus_message_unchanged(self, no_enumeration, g):
-        with pytest.raises(TreeError, match=f"^genus must be at least 3, got {g}$"):
-            enumerate_trees(g)
+        for balanced in (False, True):
+            both_refused(g, balanced, f"^genus must be at least 3, got {g}$")
+
+
+class TestSplitCount:
+    """_split_count counts the splits _splits walks, with no list built."""
+
+    @pytest.mark.parametrize("g", range(3, 10))
+    @pytest.mark.parametrize("balanced", (False, True))
+    def test_equals_the_lists(self, g, balanced):
+        count = trees_module._split_count(g, balanced)
+        assert count == len(trees_module._tree_lists(g, balanced)[1])
+
+    @pytest.mark.parametrize("g", range(3, 11))
+    @pytest.mark.parametrize("balanced", (False, True))
+    def test_equals_the_formula(self, g, balanced):
+        assert trees_module._split_count(g, balanced) == trees_module._tree_count(g, balanced)
+
+    def test_largest_balanced_count(self):
+        assert trees_module._split_count(11, True) == 362_880  # 9!

@@ -81,6 +81,10 @@ MALFORMED_TEXTS = {
     "((1,1),3)": "duplicate leaf label 1",
     "(0,1)": "leaf labels must be positive, got 0",
     "1": "a tree needs at least 2 leaves (genus >= 3)",
+    # past MAX_LABEL_DIGITS, Python's int-string limit: refused before int() reads it
+    "(1," + "9" * 5000 + ")": "leaf labels must have at most 4300 digits",
+    "(" + "0" * 4300 + "1" * 4301 + ",2)": "leaf labels must have at most 4300 digits",
+    "(0," + "9" * 4301 + ")": "leaf labels must have at most 4300 digits",
 }
 
 
@@ -132,6 +136,7 @@ class TestParse:
 
     @pytest.mark.parametrize("text, message", MALFORMED_TEXTS.items(),
                              ids=[repr(t) if len(t) < 30 else f"nested {t.count('(')}"
+                                  if t.count("(") > 1 else f"{len(t)} characters"
                                   for t in MALFORMED_TEXTS])
     def test_malformed_messages(self, text, message):
         with pytest.raises(TreeError) as got:
@@ -143,6 +148,10 @@ class TestParse:
         with pytest.raises(TreeError, match="^expected a leaf label at position 3$"):
             parse_tree("(1,²)")
         assert parse_tree("(\u0661,2)") == parse_tree("(1,2)")  # ARABIC-INDIC DIGIT ONE
+
+    def test_zero_padding_read_past(self):
+        # however long: only the digits after the padding count toward MAX_LABEL_DIGITS
+        assert parse_tree("(" + "0" * 5000 + "2,(1,3))") == parse_tree("((1,3),2)")
 
 
 def nested_caterpillar(leaves):
@@ -244,6 +253,14 @@ INPUT_FAULTS = {
              "leaf labels must be exactly 1..2, got [1, 100000000000000000000]"),
     "huge negative": ((-10**20, 2), 3, None,
                       "leaf labels must be positive, got -100000000000000000000"),
+    # past MAX_LABEL_DIGITS, a label is refused before any message writes it
+    "long": ((1, 10**5000), 3, "(1,1" + "0" * 5000 + ")",
+             "leaf labels must have at most 4300 digits"),
+    "long negative": ((-10**5000, 2), 3, None, "leaf labels must have at most 4300 digits"),
+    "zero, long": ((0, 10**4300), 3, "(0,1" + "0" * 4300 + ")",
+                   "leaf labels must have at most 4300 digits"),
+    "longest": ((1, 10**4300 - 1), 3, "(1," + "9" * 4300 + ")",
+                "leaf labels must be exactly 1..2, got [1, " + "9" * 4300 + "]"),
 }
 
 

@@ -92,6 +92,13 @@ class TestRelations:
         with pytest.raises(DomainError, match="sample"):
             verify_relations(6, sample=sample)
 
+    @pytest.mark.parametrize("sample", (verification.MAX_SAMPLE + 1, 10**5000),
+                             ids=("one over", "5001 digits"))
+    def test_sample_over_budget_rejected(self, monkeypatch, sample):
+        monkeypatch.setattr(verification, "_relation_pool", None)  # refused before the pool
+        with pytest.raises(DomainError, match="^sample is over the sampling budget of 1000000$"):
+            verify_relations(7, sample=sample)
+
     def test_failure_witness_shape(self, monkeypatch):
         # force wrong determinants to exercise the reporting path: every tree
         # gets coordinate 1 at the sequences ending in their largest value
@@ -238,6 +245,14 @@ class TestArnold:
     def test_sample_below_one_rejected(self, sample):
         with pytest.raises(DomainError, match="sample"):
             verify_arnold(4, sample=sample)
+
+    def test_sample_over_budget_rejected(self, monkeypatch):
+        monkeypatch.setattr(verification, "rank", None)  # refused before any check
+        with pytest.raises(DomainError, match="^sample is over the sampling budget of 1000000$"):
+            verify_arnold(6, sample=verification.MAX_SAMPLE + 1)
+
+    def test_sample_budget_is_inclusive(self):
+        verification._check_sample(verification.MAX_SAMPLE)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
