@@ -308,6 +308,11 @@ def monomial_to_k(mono: Monomial) -> tuple[int, ...]:
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(w)|([()*,+])|(-|−))")
+# The most digits of an integer in an expression, zero padding read past.  A
+# printed coefficient sums, per term, one integer below 10^MAX_INT_DIGITS times
+# a straightening coefficient of +-1 (tested on up to 5 strands), so it passes
+# Python's 4,300-digit int-string limit only past 10^300 terms.
+MAX_INT_DIGITS = 4000
 
 
 def parse_expression(text: str, n: int) -> CohomologyClass:
@@ -348,6 +353,9 @@ def parse_expression(text: str, n: int) -> CohomologyClass:
         tok = tokens.pop() if tokens else None
         if tok is None or not tok.isdigit():
             raise AlgebraError("expected an integer in expression")
+        if len(tok := tok.lstrip("0") or "0") > MAX_INT_DIGITS:
+            raise AlgebraError(
+                f"integers in expressions must have at most {MAX_INT_DIGITS} digits")
         return int(tok)
 
     def parse_term() -> CohomologyClass:

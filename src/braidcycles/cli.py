@@ -172,8 +172,7 @@ def _cmd_verify(args) -> int:
     sample = args.sample
     if sample is None:
         sample = _SAMPLE_DEFAULTS.get(args.suite, 0)
-    # main has already warned about --threads; the suite need not warn again
-    report = SUITES[args.suite](args.param, args.seed, sample, 1)
+    report = SUITES[args.suite](args.param, args.seed, sample)
     if args.format == "json":
         print(_dump(report.to_json()))
     else:

@@ -28,8 +28,8 @@ from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
 from .errors import DomainError
-from .trees import (_CACHE_CAP, MAX_TREES, Masks, Tree, _bits, _build, _family, _labels,
-                    _mask_key, _tree_count, descendant_sets)
+from .trees import (_CACHE_CAP, MAX_TREES, Masks, Tree, _bits, _build, _labels, _mask_key,
+                    _tree_count, descendant_sets)
 
 KSequence = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -87,27 +87,29 @@ def construction_ordering(k: Sequence[int]) -> tuple[frozenset[int], ...]:
 
 
 def balanced_tree_to_k(t: Tree) -> KSequence:
-    """Invert the merge construction on a balanced tree.
-
-    Step i of the construction joins a cluster with minimum k_i and one with
-    minimum i+1, so every node whose children have minima lo < hi gives
-    k_{hi-1} = lo.  The same walk checks balance, carrying each subtree's two
-    smallest labels: the child holding lo must have no other label below hi.
-    """
-    k = [0] * (t.genus - 2)
-    _balanced_walk(t, t.root, k)
-    return tuple(k)
-
-
-def _balanced_walk(t: Tree, node, k: list[int]) -> tuple[int, int]:
-    """The two smallest labels below `node` (the genus if one is missing)."""
-    if isinstance(node, int):
-        return node, t.genus
-    (lo, second), (hi, _) = sorted((_balanced_walk(t, node[0], k), _balanced_walk(t, node[1], k)))
-    if second < hi:
+    """Invert the merge construction on a balanced tree, reading k from its
+    family (_balanced_k)."""
+    k = _balanced_k(t._masks)[0]
+    if 0 in k:
         raise DomainError(f"tree {t.render()} is not balanced")
-    k[hi - 2] = lo
-    return lo, hi
+    return k
+
+
+def _balanced_k(masks: Masks) -> tuple[KSequence, int]:
+    """k and epsilon(k) of a balanced family.  A balanced node's children have
+    minima lo < hi, its two smallest labels; the merge construction creates
+    it at step hi-1 (so at construction position hi-1) with k_{hi-1} = lo.
+    Each label above 1 is the minimum of the child without lo of exactly one
+    node, and that minimum is at least the node's second-smallest label, so
+    an unbalanced family repeats a position and leaves some k_i at 0."""
+    k = [0] * len(masks)
+    positions = []
+    for s in masks:
+        lo = s & -s
+        position = ((s ^ lo) & -(s ^ lo)).bit_length() - 3  # hi - 2
+        k[position] = lo.bit_length() - 1
+        positions.append(position)
+    return tuple(k), perm_sign_of(positions)
 
 
 def parity_between(a: Sequence[frozenset[int]], b: Sequence[frozenset[int]]) -> int:
@@ -227,7 +229,7 @@ def pair(k: Sequence[int], t: Tree) -> int:
     (-1)^C(g-2,2) times the incidence determinant in canonical ordering, read
     from the one LCA image of k's rows."""
     k = _validate_for(k, t)
-    return (-1) ** math.comb(t.genus - 2, 2) * _coordinate(_family(t), k)
+    return (-1) ** math.comb(t.genus - 2, 2) * _coordinate(t._masks, k)
 
 
 def pair_class(c: CohomologyClass, t: Tree) -> int:
@@ -275,7 +277,7 @@ def decompose(t: Tree) -> CycleDecomposition:
     the (g-2)! worst-case support is over MAX_TREES."""
     _check_support(t.genus)
     # the kernel yields no zero and its keys in order: from_dict's work is done
-    return CycleDecomposition(t.genus, tuple(_coordinates(_family(t)).items()))
+    return CycleDecomposition(t.genus, tuple(_coordinates(t._masks).items()))
 
 
 def _check_support(g: int) -> None:
@@ -290,7 +292,7 @@ def duality_table(g: int) -> list[list[int]]:
     canonical column ordering.  Diagonal entries are the parities epsilon(k);
     off-diagonal entries vanish."""
     ks = k_sequences(g)
-    columns = [_coordinates(_family(build_balanced_tree(k))) for k in ks]
+    columns = [_coordinates(build_balanced_tree(k)._masks) for k in ks]
     return [[col.get(kp, 0) for col in columns] for kp in ks]
 
 

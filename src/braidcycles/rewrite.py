@@ -27,12 +27,11 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .arnold import perm_sign_of
-from .decomposition import (CycleDecomposition, KSequence, _check_support, _construct,
-                            balanced_tree_to_k, epsilon, parity_between)
+from .decomposition import (CycleDecomposition, KSequence, _balanced_k, _check_support,
+                            _construct, balanced_tree_to_k, epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
-from .trees import (_CACHE_CAP, Masks, Tree, _build, _family, _labels, _mask_key,
-                    descendant_sets, is_balanced)
+from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, descendant_sets,
+                    is_balanced)
 
 TraceHook = Callable[[dict], None]
 
@@ -94,8 +93,8 @@ def is_cyclic_triple(t1: Tree, t2: Tree, t3: Tree) -> CyclicTriple | None:
     """
     if not (t1.genus == t2.genus == t3.genus):
         raise DomainError("trees must have the same genus")
-    f1 = _family(t1)
-    if (blocks := _cyclic_blocks(f1, _family(t2), _family(t3))) is None:
+    f1 = t1._masks
+    if (blocks := _cyclic_blocks(f1, t2._masks, t3._masks)) is None:
         return None
     b1, b2, b3 = blocks
     ord1 = tuple(map(_labels, f1))
@@ -201,24 +200,10 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
 
     The rotated node keeps its position; only its descendant set changes.
     """
-    masks = _family(t)
+    masks = t._masks
     i, u1, u2, v2 = _rotation(masks, v)
     return is_cyclic_triple(t, *(_build(_replaced(masks, i, new)[0])
                                  for new in (u1 | v2, v2 | u2)))
-
-
-def _balanced_k(masks: Masks) -> tuple[KSequence, int]:
-    """k and epsilon(k) of a balanced family.  A balanced node's children have
-    minima lo < hi, its two smallest labels; the merge construction creates
-    it at step hi-1 (so at construction position hi-1) with k_{hi-1} = lo."""
-    k = [0] * len(masks)
-    positions = []
-    for s in masks:
-        lo = s & -s
-        position = ((s ^ lo) & -(s ^ lo)).bit_length() - 3  # hi - 2
-        k[position] = lo.bit_length() - 1
-        positions.append(position)
-    return tuple(k), perm_sign_of(positions)
 
 
 @functools.lru_cache(maxsize=_CACHE_CAP)
@@ -232,7 +217,7 @@ def _balanced_term(k: KSequence) -> tuple[str, Tree, int]:
 def find_unbalanced(t: Tree) -> int | None:
     """Canonical position of a deepest unbalanced node (smallest position on
     ties), or None when the tree is balanced."""
-    return _scan(_family(t))[1]
+    return _scan(t._masks)[1]
 
 
 @dataclass(frozen=True)
@@ -325,7 +310,7 @@ def _reduce(t: Tree, trace: TraceHook | None = None,
     no terms built.  The result may be the shared memo's; do not mutate it."""
     limit = _BUDGET_BASE ** t.genus if step_limit is None else step_limit
     memo = _SHARED_MEMO if step_limit is None else {}
-    sign, coords = _reduce_family(_family(t), memo, trace, [0], limit)
+    sign, coords = _reduce_family(t._masks, memo, trace, [0], limit)
     return coords if sign == 1 else {k: -c for k, c in coords.items()}
 
 

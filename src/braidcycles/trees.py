@@ -11,9 +11,9 @@ disjoint (a laminar family), so the key agrees with a lexicographic
 tie-break on the sorted element lists.
 
 Internally label sets are int bitmasks, bit x for label x; on a laminar family
-the key (-popcount, lowest set bit) is the same order.  The walk that checks a
-tree input also builds its canonical family, which the Tree carries; _family
-walks only trees that carry none (built and enumerated ones).  Public
+the key (-popcount, lowest set bit) is the same order.  A Tree holds only its
+canonical family of masks: the walk that checks a tree input builds it, and
+the root and the text are folded back from it on demand (_fold).  Public
 functions return sets.
 """
 
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 from .errors import TreeError
 
 # A node is either a leaf label or a pair of child nodes.
 Node = Union[int, tuple]
+X = TypeVar("X")  # what a fold makes of a node
 
 # parse_tree, Tree and Tree.from_node refuse deeper nesting before any
 # recursion starts; a genus-g tree nests at most g-2 deep, far below this.
@@ -73,38 +74,29 @@ def _labels(m: int) -> frozenset[int]:
     return frozenset(_bits(m))
 
 
-def _walk(node: Node, n: int, masks: list[int]) -> tuple[Node, int]:
-    """(canonical node, mask), appending each internal node's mask to `masks`.
-    Only an int in 1..n (no bool) gets a bit, so a faulty label leaves the root
-    mask short, and the child order, by mask key, does not matter then."""
+def _walk(node: Node, n: int, masks: list[int]) -> int:
+    """The mask of a node, appending each internal node's mask to `masks`.
+    Only an int in 1..n (no bool) gets a bit, so a faulty label leaves the
+    root mask short."""
     if isinstance(node, int):
-        return node, 1 << node if 0 < node <= n and node is not True else 0
+        return 1 << node if 0 < node <= n and node is not True else 0
     if not (isinstance(node, (tuple, list)) and len(node) == 2):
         raise TreeError("internal nodes must have exactly two children")
-    return _join(*_walk(node[0], n, masks), *_walk(node[1], n, masks), masks)
+    masks.append(mask := _walk(node[0], n, masks) | _walk(node[1], n, masks))
+    return mask
 
 
-def _join(a: Node, ma: int, b: Node, mb: int, masks: list[int]) -> tuple[Node, int]:
-    """The canonical node over children a and b of masks ma and mb, and its
-    mask, appended to `masks`; the child first by mask key goes first."""
-    masks.append(mask := ma | mb)
-    ca, cb = ma.bit_count(), mb.bit_count()
-    if ca < cb or ca == cb and mb & -mb < ma & -ma:
-        return (b, a), mask
-    return (a, b), mask
-
-
-def _validated(node: Node, n: int, genus: int | None = None) -> tuple[Node, int, Masks]:
-    """(canonical node, genus, canonical family) of a tree input with n
-    leaves: one canonicalizing walk and one root mask comparison; the label
-    check runs only to name a fault.  The genus defaults to n + 1."""
+def _validated(node: Node, n: int, genus: int | None = None) -> tuple[Masks, int]:
+    """(canonical family, genus) of a tree input with n leaves: one walk and
+    one root mask comparison; the label check runs only to name a fault.
+    The genus defaults to n + 1."""
     masks: list[int] = []
-    canonical, root = _walk(node, n, masks)
+    root = _walk(node, n, masks)
     genus = n + 1 if genus is None else genus
     if root != (2 << n) - 2 or n < 2 or genus != n + 1:
         _check_labels(_check_depth(node), genus)
     masks.sort(key=_mask_key)
-    return canonical, genus, tuple(masks)
+    return tuple(masks), genus
 
 
 def _check_labels(leaves: list[int], genus: int) -> None:
@@ -130,48 +122,53 @@ def _check_labels(leaves: list[int], genus: int) -> None:
         raise TreeError(f"genus {genus} does not match {n} leaves (expected {n + 1})")
 
 
-def _render(node: Node) -> str:
-    if isinstance(node, int):
-        return str(node)
-    return f"({_render(node[0])},{_render(node[1])})"
+def _fold(masks: Masks, leaf: Callable[[int], X], join: Callable[[X, X], X]) -> X:
+    """Fold a canonical family bottom-up into its root: each node joins the
+    subtree holding its lowest label and the one whose minimum is the lowest
+    label outside it, both keyed by lowest bit.  The larger child goes first,
+    the one holding the lowest label on a tie: the canonical order."""
+    top: dict[int, tuple[X, int]] = {}
+    for s in reversed(masks):
+        lo = s & -s
+        a, a_mask = top.get(lo) or (leaf(lo.bit_length() - 1), lo)
+        b_mask = s ^ a_mask
+        hi = b_mask & -b_mask
+        b = top.pop(hi)[0] if hi != b_mask else leaf(hi.bit_length() - 1)
+        top[lo] = (join(a, b) if a_mask.bit_count() >= b_mask.bit_count() else join(b, a), s)
+    return top[2][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Tree:
-    """Canonical rooted full binary tree with leaves labeled 1..genus-1.  A
-    checked input carries its mask family, outside ==, hash and repr."""
+    """Canonical rooted full binary tree with leaves labeled 1..genus-1, held
+    as its canonical mask family; the root and the text are folded from it."""
 
-    root: Node
+    _masks: Masks
     genus: int
-    _masks: Masks | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        canonical, _, masks = _validated(self.root, len(_check_depth(self.root)), self.genus)
-        if canonical != self.root:
-            raise TreeError("children are not in canonical order")
+    def __init__(self, root: Node, genus: int) -> None:
+        masks, genus = _validated(root, len(_check_depth(root)), genus)
         object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "genus", genus)
+        if self.root != root:
+            raise TreeError("children are not in canonical order")
 
     @classmethod
     def from_node(cls, node: Node) -> Tree:
         """Build a canonical Tree from a nested node structure."""
-        return cls._trusted(*_validated(node, len(_check_depth(node))))
-
-    @classmethod
-    def _trusted(cls, root: Node, genus: int, masks: Masks | None = None) -> Tree:
-        """A Tree over a canonical root, with its family if known; no checks."""
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "root", root)
-        object.__setattr__(tree, "genus", genus)
-        if masks is not None:
-            object.__setattr__(tree, "_masks", masks)
-        return tree
+        return _build(_validated(node, len(_check_depth(node)))[0])
 
     @classmethod
     def from_string(cls, text: str) -> Tree:
         return parse_tree(text)
 
+    @property
+    def root(self) -> Node:
+        """The canonical nested pairs of leaf labels."""
+        return _fold(self._masks, int, lambda a, b: (a, b))
+
     def render(self) -> str:
-        return _render(self.root)
+        return _fold(self._masks, str, "({},{})".format)
 
     def descendant_sets(self) -> tuple[frozenset[int], ...]:
         return descendant_sets(self)
@@ -181,6 +178,9 @@ class Tree:
 
     def to_json(self) -> dict:
         return tree_to_json(self)
+
+    def __repr__(self) -> str:
+        return f"Tree(root={self.root!r}, genus={self.genus!r})"
 
     def __str__(self) -> str:
         return self.render()
@@ -201,10 +201,10 @@ def parse_tree(text: str) -> Tree:
     """Parse `TREE := LEAF | "(" TREE "," TREE ")"` into a canonical Tree.
 
     Whitespace is ignored and the child order of the input is irrelevant.
-    One descent reads the text, orders the children and builds the mask
-    family the Tree carries.  Raises TreeError on malformed syntax, nesting
-    deeper than MAX_DEPTH, duplicate labels, labels that are not exactly
-    1..n, or fewer than two leaves.
+    One descent reads the text and builds the mask family the Tree holds.
+    Raises TreeError on malformed syntax, nesting deeper than MAX_DEPTH,
+    duplicate labels, labels that are not exactly 1..n, or fewer than two
+    leaves.
     """
     s = "".join(text.split())
     depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in s)
@@ -212,29 +212,31 @@ def parse_tree(text: str) -> Tree:
         raise TreeError(f"tree nested deeper than {MAX_DEPTH} levels")
     n = s.count(",") + 1  # a binary tree has one leaf more than it has commas
     masks: list[int] = []
-    node, root, pos = _parse_node(s, 0, n, masks)
+    leaves: list[int] = []
+    root, pos = _parse_node(s, 0, n, masks, leaves)
     if pos != len(s):
         raise TreeError(f"trailing input at position {pos}")
     if root != (2 << n) - 2 or n < 2:
-        _check_labels(_check_depth(node), n + 1)
+        _check_labels(leaves, n + 1)
     masks.sort(key=_mask_key)
-    return Tree._trusted(node, n + 1, tuple(masks))
+    return _build(tuple(masks))
 
 
-def _parse_node(s: str, pos: int, n: int, masks: list[int]) -> tuple[Node, int, int]:
-    """The canonical node of `s` that starts at `pos`, its mask and the
-    position after it, appending each internal node's mask to `masks`; a leaf
-    gets a bit only if it is in 1..n, as in _walk."""
+def _parse_node(s: str, pos: int, n: int, masks: list[int], leaves: list[int]) -> tuple[int, int]:
+    """The mask of the node of `s` that starts at `pos` and the position
+    after it, appending each internal node's mask to `masks` and each label
+    to `leaves`; a leaf gets a bit only if it is in 1..n, as in _walk."""
     if pos >= len(s):
         raise TreeError("unexpected end of input")
     if s[pos] == "(":
-        a, ma, pos = _parse_node(s, pos + 1, n, masks)
+        ma, pos = _parse_node(s, pos + 1, n, masks, leaves)
         if pos >= len(s) or s[pos] != ",":
             raise TreeError(f"expected ',' at position {pos}")
-        b, mb, pos = _parse_node(s, pos + 1, n, masks)
+        mb, pos = _parse_node(s, pos + 1, n, masks, leaves)
         if pos >= len(s) or s[pos] != ")":
             raise TreeError(f"expected ')' at position {pos}")
-        return (*_join(a, ma, b, mb, masks), pos + 1)
+        masks.append(mask := ma | mb)
+        return mask, pos + 1
     start = pos
     while pos < len(s) and s[pos].isdecimal():  # what int() accepts, unlike isdigit
         pos += 1
@@ -244,32 +246,13 @@ def _parse_node(s: str, pos: int, n: int, masks: list[int]) -> tuple[Node, int, 
     if pos - start > MAX_LABEL_DIGITS:  # read past zero padding
         if len(digits := digits.lstrip("0") or "0") > MAX_LABEL_DIGITS:
             raise TreeError(_LONG_LABEL)
-    label = int(digits)
-    return label, 1 << label if 0 < label <= n else 0, pos
+    leaves.append(label := int(digits))
+    return 1 << label if 0 < label <= n else 0, pos
 
 
 def render_tree(t: Tree) -> str:
     """Canonical text form; parse_tree(render_tree(t)) == t."""
     return t.render()
-
-
-def _family(t: Tree) -> Masks:
-    """The canonical mask family a tree carries, else one walk of its root."""
-    return _root_family(t.root) if t._masks is None else t._masks
-
-
-def _root_family(root: Node) -> Masks:
-    masks: list[int] = []
-    _node_masks(root, masks)
-    return tuple(sorted(masks, key=_mask_key))
-
-
-def _node_masks(node: Node, masks: list[int]) -> int:
-    """The mask of a canonical node; appends each internal node's to `masks`."""
-    if isinstance(node, int):
-        return 1 << node
-    masks.append(mask := _node_masks(node[0], masks) | _node_masks(node[1], masks))
-    return mask
 
 
 @functools.lru_cache(maxsize=_CACHE_CAP)
@@ -279,7 +262,7 @@ def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     Ordering: size descending, ties broken by the smallest element.  The
     first entry is always the full set {1..g-1}.
     """
-    return tuple(map(_labels, _family(t)))
+    return tuple(map(_labels, t._masks))
 
 
 def _node_report(masks: Masks) -> list[tuple[int, bool]]:
@@ -297,7 +280,7 @@ def _node_report(masks: Masks) -> list[tuple[int, bool]]:
 
 def node_depths(t: Tree) -> tuple[int, ...]:
     """Depth (edge distance from the root) per canonical node position."""
-    return tuple(depth for depth, _ in _node_report(_family(t)))
+    return tuple(depth for depth, _ in _node_report(t._masks))
 
 
 def balance_report(t: Tree) -> tuple[bool, ...]:
@@ -306,7 +289,7 @@ def balance_report(t: Tree) -> tuple[bool, ...]:
     A node is balanced when its two smallest descendant leaf labels lie in
     different child subtrees.
     """
-    return tuple(ok for _, ok in _node_report(_family(t)))
+    return tuple(ok for _, ok in _node_report(t._masks))
 
 
 def is_balanced(t: Tree) -> bool:
@@ -333,8 +316,21 @@ def enumerate_balanced(g: int) -> list[Tree]:
 
 
 def _enumerate(g: int, balanced: bool) -> list[Tree]:
+    return [_build(masks) for _, masks in _listing(g, balanced)]
+
+
+def _listing(g: int, balanced: bool) -> Iterator[tuple[str, Masks]]:
+    """(text, canonical family) of each genus-g tree, or balanced tree, in
+    text order: each root of the label-split lists walked once.  A family is
+    sorted by its masks' ranks among all masks by _mask_key, which order a
+    laminar family canonically, and equal masks share one int object."""
     nodes, texts = _tree_lists(g, balanced)
-    return [Tree._trusted(nodes[i], g) for i in sorted(range(len(texts)), key=texts.__getitem__)]
+    by_rank = sorted(range(2, 1 << g, 2), key=_mask_key)
+    rank = {m: i for i, m in enumerate(by_rank)}
+    for i in sorted(range(len(texts)), key=texts.__getitem__):
+        masks: list[int] = []
+        _walk(nodes[i], g - 1, masks)
+        yield texts[i], tuple(map(by_rank.__getitem__, sorted(map(rank.__getitem__, masks))))
 
 
 def _tree_lists(g: int, balanced: bool) -> tuple[list[Node], list[str]]:
@@ -409,19 +405,11 @@ def _parts(mask: int, balanced: bool) -> Iterator[tuple[int, int]]:
 
 
 def _build(masks: Masks) -> Tree:
-    """The Tree of a canonical mask family, built bottom-up without checks:
-    each node joins the subtree holding its lowest label and the one whose
-    minimum is the lowest label outside it, both keyed by lowest bit."""
-    top: dict[int, tuple[Node, int]] = {}
-    for s in reversed(masks):
-        lo = s & -s
-        a, a_mask = top.get(lo) or (lo.bit_length() - 1, lo)
-        b_mask = s ^ a_mask
-        hi = b_mask & -b_mask
-        b = top.pop(hi)[0] if hi != b_mask else hi.bit_length() - 1
-        # a holds the smaller label, so it comes first unless b is larger
-        top[lo] = ((a, b) if a_mask.bit_count() >= b_mask.bit_count() else (b, a), s)
-    return Tree._trusted(top[2][0], masks[0].bit_count() + 1)
+    """The Tree of a canonical mask family; no checks."""
+    tree = object.__new__(Tree)
+    object.__setattr__(tree, "_masks", masks)
+    object.__setattr__(tree, "genus", len(masks) + 2)
+    return tree
 
 
 def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
@@ -452,16 +440,14 @@ def tree_from_sets(sets: Iterable[frozenset[int]]) -> Tree:
 
 def tree_to_json(t: Tree) -> dict:
     """JSON form: genus, canonical string, and canonical-ordered node sets."""
-    return _json_entry(t.genus, t.root, t.render())
+    return _json_entry(t.genus, t._masks, t.render())
 
 
-def _json_entry(g: int, root: Node, text: str) -> dict:
-    return {"g": g, "newick": text, "nodes": [sorted(_labels(m)) for m in _root_family(root)]}
+def _json_entry(g: int, masks: Masks, text: str) -> dict:
+    return {"g": g, "newick": text, "nodes": [sorted(_labels(m)) for m in masks]}
 
 
 def _json_listing(g: int, balanced: bool) -> Iterator[dict]:
     """tree_to_json of each genus-g tree, or balanced tree, in text order,
     made one at a time from the label-split lists; no Tree is built."""
-    nodes, texts = _tree_lists(g, balanced)
-    return (_json_entry(g, nodes[i], texts[i])
-            for i in sorted(range(len(texts)), key=texts.__getitem__))
+    return (_json_entry(g, masks, text) for text, masks in _listing(g, balanced))

@@ -8,9 +8,7 @@ bit-for-bit reproducible for a given (parameter, sample, seed).  The
 relations suite runs on canonical mask families: it rotates as the rewriting
 engine does, signs each canonical coordinate by the rotation's ordering
 parity, and builds trees only for failure witnesses.  Cases run serially:
-every check holds the GIL, so worker threads only slowed suites down.  The
-`threads` arguments are deprecated: they have no effect, and a value other
-than 1 raises a DeprecationWarning.
+every check holds the GIL, so worker threads only slowed suites down.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,8 +34,7 @@ from .decomposition import (
 )
 from .errors import DomainError
 from .rewrite import CyclicTriple, _cyclic_blocks, _reduce, _replaced, _rotation
-from .trees import (_CACHE_CAP, Masks, Tree, _build, _family, _tree_count, _tree_lists,
-                    enumerate_trees)
+from .trees import _CACHE_CAP, Tree, _build, _tree_count, _tree_lists, enumerate_trees
 
 MAX_SAMPLE = 1_000_000  # the most cases a sampling suite draws: arnold at n=6 takes ~50 s
 
@@ -67,12 +63,6 @@ class SuiteReport:
         }
 
 
-def _warn_threads(threads: int) -> None:
-    if threads != 1:
-        warnings.warn("threads is deprecated and has no effect; suites run serially",
-                      DeprecationWarning, stacklevel=3)
-
-
 def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
     """Tree and balanced-tree counts against the closed formulas."""
     if not 3 <= g <= ceiling:
@@ -88,10 +78,9 @@ def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
                        int((time.perf_counter() - start) * 1000))
 
 
-def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
+def verify_duality(g: int, ceiling: int = 7) -> SuiteReport:
     """Balanced-basis duality: diagonal +-1 table in canonical ordering and
     lower-unitriangular incidence matrices in construction ordering."""
-    _warn_threads(threads)
     if not 3 <= g <= ceiling:
         raise DomainError(f"genus {g} outside configured range 3..{ceiling}")
     start = time.perf_counter()
@@ -103,7 +92,7 @@ def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
         k = ks[col]
         tree = trees[col]
         bad = []
-        coords = _coordinates(_family(tree))
+        coords = _coordinates(tree._masks)
         eps = epsilon(k)
         for row in sorted(coords.keys() | {k}):
             expected = eps if row == k else 0
@@ -127,19 +116,11 @@ def verify_duality(g: int, ceiling: int = 7, threads: int = 1) -> SuiteReport:
 
 def relation_cases(g: int) -> list[tuple[Tree, int]]:
     """Every (tree, node) pair eligible for rotation at genus g."""
-    return [(t, pos) for t, _, pos in _relation_pool(g)]
+    return [(t, pos) for t in enumerate_trees(g)
+            for pos, s in enumerate(t._masks, start=1) if s.bit_count() >= 3]
 
 
-def _relation_pool(g: int) -> list[tuple[Tree, Masks, int]]:
-    """relation_cases with each tree's mask family, walked once per tree."""
-    return [(t, family, pos)
-            for t, family in ((t, _family(t)) for t in enumerate_trees(g))
-            for pos, s in enumerate(family, start=1)
-            if s.bit_count() >= 3]
-
-
-def verify_relations(g: int, sample: int = 10000, seed: int = 0,
-                     threads: int = 1) -> SuiteReport:
+def verify_relations(g: int, sample: int = 10000, seed: int = 0) -> SuiteReport:
     """Cyclic-triple relation: every rotation triple matches the pattern and
     its three aligned determinant vectors sum to zero.
 
@@ -148,19 +129,19 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0,
     case, so a case drawn more than once is checked once and its failures are
     repeated per draw: the report is the same as checking every draw.
     """
-    _warn_threads(threads)
     if g < 3:
         raise DomainError(f"genus must be at least 3, got {g}")
     _check_sample(sample)
     start = time.perf_counter()
-    pool = _relation_pool(g)
+    pool = relation_cases(g)
     draws = range(len(pool)) if g <= 5 else _sample_indices(len(pool), sample, seed)
 
     # an aligned determinant is the sign _replaced returns times the canonical
     # one, so coordinates are computed once per family, in a bounded cache
     canonical = functools.lru_cache(maxsize=_CACHE_CAP)(_coordinates)
 
-    def check_case(tree: Tree, family: Masks, pos: int) -> list[dict]:
+    def check_case(tree: Tree, pos: int) -> list[dict]:
+        family = tree._masks
         i, u1, u2, v2 = _rotation(family, pos)
         entries = ((family, 1), _replaced(family, i, u1 | v2), _replaced(family, i, v2 | u2))
 
@@ -213,9 +194,8 @@ def verify_cyclic_determinant_identity(triple: CyclicTriple) -> bool:
     return True
 
 
-def verify_crosspath(g: int, threads: int = 1) -> SuiteReport:
+def verify_crosspath(g: int) -> SuiteReport:
     """Determinant route against the rewriting route, tree by tree."""
-    _warn_threads(threads)
     if g < 3:
         raise DomainError(f"genus must be at least 3, got {g}")
     start = time.perf_counter()
@@ -285,10 +265,9 @@ def verify_arnold(n: int, sample: int = 1000, seed: int = 0) -> SuiteReport:
 
 
 SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "counts": lambda param, seed, sample, threads: verify_counts(param),
-    "duality": lambda param, seed, sample, threads: verify_duality(param, threads=threads),
-    "relations": lambda param, seed, sample, threads: verify_relations(
-        param, sample=sample, seed=seed, threads=threads),
-    "crosspath": lambda param, seed, sample, threads: verify_crosspath(param, threads=threads),
-    "arnold": lambda param, seed, sample, threads: verify_arnold(param, sample=sample, seed=seed),
+    "counts": lambda param, seed, sample: verify_counts(param),
+    "duality": lambda param, seed, sample: verify_duality(param),
+    "relations": lambda param, seed, sample: verify_relations(param, sample=sample, seed=seed),
+    "crosspath": lambda param, seed, sample: verify_crosspath(param),
+    "arnold": lambda param, seed, sample: verify_arnold(param, sample=sample, seed=seed),
 }

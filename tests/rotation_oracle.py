@@ -13,8 +13,9 @@ rotation node, `rotation` finds children by forward scans, and
 `remy_tree` draws uniform random trees for sampled checks.
 """
 
+from braidcycles.decomposition import _balanced_k
 from braidcycles.errors import DomainError
-from braidcycles.rewrite import _balanced_k, _replaced
+from braidcycles.rewrite import _replaced
 from braidcycles.trees import Tree, descendant_sets
 
 
@@ -69,21 +70,26 @@ def replace(node, old, new):
     return (replace(node[0], old, new), replace(node[1], old, new))
 
 
-def rotation_triple(t, v):
-    """(trees, orderings, blocks, s, t) of the rotation of `t` at position v."""
-    ord0 = descendant_sets(t)
-    v_set = ord0[v - 1]
-    vnode = find(t.root, v_set)
+def rotated_roots(root, v_set):
+    """(v1, v2, u1, u2) of the rotation at the node whose leaf set is v_set,
+    and the canonical roots of T' and T''."""
+    vnode = find(root, v_set)
     lo, second = sorted(v_set)[:2]
     v1, v2 = pick_v1((vnode[0], vnode[1]), lo, second)
     s1, s2 = sorted(leaf_labels(v1))[:2]
     u1, u2 = smalls_child(v1, s1, s2) or v1
+    return (v1, v2, u1, u2), (replace(root, v_set, canonical_pair(canonical_pair(u1, v2), u2)),
+                              replace(root, v_set, canonical_pair(canonical_pair(v2, u2), u1)))
+
+
+def rotation_triple(t, v):
+    """(trees, orderings, blocks, s, t) of the rotation of `t` at position v."""
+    ord0 = descendant_sets(t)
+    (v1, v2, u1, u2), rotated = rotated_roots(t.root, ord0[v - 1])
     v1_set = leaf_labels(v1)
     s = ord0.index(v1_set) + 1
     b1, b2, b3 = leaf_labels(v2), leaf_labels(u2), leaf_labels(u1)
-    prime = Tree(replace(t.root, v_set, canonical_pair(canonical_pair(u1, v2), u2)), t.genus)
-    double = Tree(replace(t.root, v_set, canonical_pair(canonical_pair(v2, u2), u1)), t.genus)
-    trees = (t, prime, double)
+    trees = (t, *(Tree(root, t.genus) for root in rotated))
     orderings = tuple(ord0[:s - 1] + (changed,) + ord0[s:]
                       for changed in (v1_set, b3 | b1, b1 | b2))
     return trees, orderings, (b1, b2, b3), s, v

@@ -21,6 +21,7 @@ from braidcycles.arnold import (
     w,
     w_basis_index,
 )
+from braidcycles.cli import main
 from braidcycles.errors import AlgebraError
 
 
@@ -131,6 +132,15 @@ def perm_sign(perm):
 # ---------------------------------------------------------------------------
 
 class TestStraighten:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_coefficients_are_units(self, n):
+        # every product of distinct generators straightens to coefficients +-1,
+        # which the digit bound on expression integers relies on
+        gens = [w(i, j) for j in range(2, n + 1) for i in range(1, j)]
+        for p in range(1, n):
+            for factors in itertools.combinations(gens, p):
+                assert {abs(c) for _, c in straighten(n, factors).terms} <= {1}
+
     def test_exterior_square(self):
         assert straighten(3, [w(1, 2), w(1, 2)]).is_zero()
 
@@ -356,6 +366,25 @@ class TestExpressions:
 
     def test_format_zero(self):
         assert format_class(CohomologyClass.zero(3)) == "0"
+
+    @pytest.mark.parametrize("expr", (
+        "9" * 5000 + "*w(1,2)",
+        "w(1," + "9" * 5000 + ")",
+        "9" * 4300 + "*w(1,2)+" + "9" * 4300 + "*w(1,2)",
+    ), ids=("coefficient", "index", "sum"))
+    def test_huge_integers_refused(self, expr, capsys):
+        message = "integers in expressions must have at most 4000 digits"
+        with pytest.raises(AlgebraError) as refused:
+            parse_expression(expr, 3)
+        assert str(refused.value) == message
+        assert main(["arnold", "--n", "3", "--expr", expr]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_integers_at_the_bound_print(self):
+        big = "9" * arnold.MAX_INT_DIGITS
+        c = parse_expression(f"{big}*w(1,2)+{big}*w(1,2)", 3)
+        assert format_class(c) == f"{2 * int(big)}*w(1,2)"
+        assert parse_expression("0" * 5000 + "2*w(1,2)", 3) == generator_class(3, 1, 2).scale(2)
 
 
 class TestClassArithmetic:

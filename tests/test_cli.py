@@ -78,7 +78,7 @@ class TestTrees:
         def tree_built(*args, **kwargs):
             raise AssertionError("a Tree was built")
 
-        monkeypatch.setattr(trees_module.Tree, "_trusted", tree_built)
+        monkeypatch.setattr(trees_module, "_build", tree_built)
         assert run("trees", "--g", "7", "--count") == (0, "945\n", "")
         assert run("trees", "--g", "7", "--balanced", "--count", "--format", "json") == (
             0, '{"balanced":true,"count":120,"g":7}\n', "")
@@ -120,7 +120,7 @@ class TestTrees:
         def tree_built(*args, **kwargs):
             raise AssertionError("a Tree was built")
 
-        monkeypatch.setattr(trees_module.Tree, "_trusted", tree_built)
+        monkeypatch.setattr(trees_module, "_build", tree_built)
         assert [run(*argv) for argv in listings] == expected
 
     @pytest.mark.parametrize("command, g, flags", (
@@ -393,7 +393,7 @@ class TestVerify:
         assert proc.stderr == "warning: --threads is deprecated and has no effect\n"
 
     def test_failing_suite_exits_2(self, run, monkeypatch):
-        def broken(param, seed, sample, threads):
+        def broken(param, seed, sample):
             return SuiteReport("counts", param, 1,
                                [{"check": "trees", "got": 0, "expected": 1}], 0)
         monkeypatch.setitem(verification.SUITES, "counts", broken)

@@ -33,7 +33,6 @@ from braidcycles.errors import DomainError
 from braidcycles.rewrite import SignedTreeSum, reduce_to_balanced
 from braidcycles.trees import (
     Tree,
-    _family,
     descendant_sets,
     enumerate_balanced,
     enumerate_trees,
@@ -242,8 +241,8 @@ class TestCoordinateKernel:
         ordering = data.draw(st.none() | st.permutations(descendant_sets(t)))
         sign = 1 if ordering is None else parity_between(ordering, descendant_sets(t))
         expected = det_by_permutation_expansion(incidence_matrix(k, t, ordering=ordering))
-        assert sign * _coordinates(_family(t)).get(k, 0) == expected
-        assert _coordinate(_family(t), k) == sign * expected
+        assert sign * _coordinates(t._masks).get(k, 0) == expected
+        assert _coordinate(t._masks, k) == sign * expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -252,7 +251,7 @@ class TestCoordinateKernel:
         t = data.draw(trees())
         ordering = data.draw(st.none() | st.permutations(descendant_sets(t)))
         sign = 1 if ordering is None else parity_between(ordering, descendant_sets(t))
-        coords = _coordinates(_family(t))
+        coords = _coordinates(t._masks)
         for k in k_sequences(t.genus) if t.genus <= 6 else list(coords):
             expected = det_by_permutation_expansion(incidence_matrix(k, t, ordering=ordering))
             assert sign * coords.get(k, 0) == expected
@@ -266,19 +265,19 @@ class TestCoordinateKernel:
             for k in k_sequences(g):
                 expected = det(incidence_matrix(k, t))
                 assert pair(k, t) == sign * expected
-                assert _coordinate(_family(t), k) == expected
+                assert _coordinate(t._masks, k) == expected
 
     def test_one_coordinate_vs_support_kernel_genus_7(self):
         ks = k_sequences(7)
         for t in enumerate_trees(7):
-            family = _family(t)
+            family = t._masks
             coords = _coordinates(family)
             assert [_coordinate(family, k) for k in ks] == [coords.get(k, 0) for k in ks]
 
     def test_one_coordinate_vs_support_kernel_sampled_genus_9(self):
         rng = random.Random(9)
         for _ in range(300):
-            family = _family(remy_tree(9, rng))
+            family = remy_tree(9, rng)._masks
             coords = _coordinates(family)
             # a uniform k, and one from the support (nearly all uniform k miss it)
             for k in (tuple(rng.randint(1, i) for i in range(1, 8)), rng.choice(list(coords))):
@@ -289,7 +288,7 @@ class TestCoordinateKernel:
         # the one-image kernel gives the backtracking kernel's output, keys in
         # lexicographic order (decompose keeps that order without sorting)
         for t in enumerate_trees(g):
-            family = _family(t)
+            family = t._masks
             coords = _coordinates(family)
             assert coords == coordinate_oracle.coordinates(family)
             assert list(coords) == sorted(coords)

@@ -24,7 +24,7 @@ from braidcycles.rewrite import (
     rotate,
     rotation_triple,
 )
-from braidcycles.trees import (_family, _labels, _masks, descendant_sets, enumerate_balanced,
+from braidcycles.trees import (_labels, _masks, descendant_sets, enumerate_balanced,
                                enumerate_trees, parse_tree)
 
 
@@ -130,7 +130,7 @@ class TestOnFamilies:
     @pytest.mark.parametrize("g", range(4, 8))
     def test_replaced_sign_is_ordering_parity(self, g):
         for t in enumerate_trees(g):
-            family = _family(t)
+            family = t._masks
             for v in eligible_nodes(t):
                 i, u1, u2, v2 = rewrite_module._rotation(family, v)
                 signs = [1] + [rewrite_module._replaced(family, i, new)[1]
@@ -142,7 +142,7 @@ class TestOnFamilies:
         for t in enumerate_trees(g):
             for v in eligible_nodes(t):
                 trees, orderings, blocks, s, _ = rotation_oracle.rotation_triple(t, v)
-                b1, b2, b3 = rewrite_module._cyclic_blocks(*map(_family, trees))
+                b1, b2, b3 = rewrite_module._cyclic_blocks(*(t._masks for t in trees))
                 assert tuple(map(_labels, (b1, b2, b3))) == blocks
                 changed = tuple(map(_labels, (b2 | b3, b3 | b1, b1 | b2)))
                 assert changed == tuple(o[s - 1] for o in orderings)
@@ -157,7 +157,7 @@ class TestOnFamilies:
     def test_cyclic_blocks_rejects_what_is_cyclic_triple_rejects(self, texts):
         trees = [parse_tree(text) for text in texts]
         assert is_cyclic_triple(*trees) is None
-        assert rewrite_module._cyclic_blocks(*map(_family, trees)) is None
+        assert rewrite_module._cyclic_blocks(*(t._masks for t in trees)) is None
 
     @pytest.mark.parametrize("families", (
         # d1, d2, d3 are the pairwise unions of blocks 10010, 01010, 00110 (sharing bit 1)
@@ -223,7 +223,7 @@ class TestOnePassSearch:
     @pytest.mark.parametrize("g", range(3, 9))
     def test_matches_quadratic_definition(self, g):
         for t in enumerate_trees(g):
-            family = _family(t)
+            family = t._masks
             v = rotation_oracle.deepest_unbalanced(family)
             firsts, found = rewrite_module._scan(family)
             assert find_unbalanced(t) == found == v
@@ -236,14 +236,14 @@ class TestOnePassSearch:
     @pytest.mark.parametrize("g", range(4, 9))
     def test_rotation_matches_forward_child_scans(self, g):
         for t in enumerate_trees(g):
-            family = _family(t)
+            family = t._masks
             for v in eligible_nodes(t):
                 assert rewrite_module._rotation(family, v) == rotation_oracle.rotation(family, v)
 
     def test_smallest_position_on_ties(self):
         # {1,2,3} at position 2 and {4,5,6} at position 3 are both unbalanced at depth 1
         t = parse_tree("(((1,2),3),((4,5),6))")
-        assert rotation_oracle.deepest_unbalanced(_family(t)) == 2
+        assert rotation_oracle.deepest_unbalanced(t._masks) == 2
         assert find_unbalanced(t) == 2
 
 
@@ -259,7 +259,7 @@ class TestSignedMemo:
         else:
             trees = enumerate_trees(g)
         oracle_memo = {}
-        expected = [rotation_oracle.reduce_unsigned(_family(t), oracle_memo) for t in trees]
+        expected = [rotation_oracle.reduce_unsigned(t._masks, oracle_memo) for t in trees]
         monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
         for state in ("emptied", "filling", "warm"):
             for t, want in zip(trees, expected):
@@ -273,7 +273,7 @@ class TestSignedMemo:
         # no reduction of genus <= 8 cancels a coordinate, so two memo entries
         # are planted whose merge does: the key must go, not stay as 0
         t = parse_tree("(((1,2),3),4)")
-        family = _family(t)
+        family = t._masks
         i, u1, u2, v2 = rewrite_module._rotation(family, find_unbalanced(t))
         (family_a, sigma_a), (family_b, sigma_b) = (rewrite_module._replaced(family, i, new)
                                                     for new in (u1 | v2, v2 | u2))
@@ -291,14 +291,14 @@ class TestSignedMemo:
 
         def top_sign(t):
             rewrite_module._reduce(t)
-            return memo[_family(t)][0]
+            return memo[t._masks][0]
 
         t = next(t for t in enumerate_trees(6) if top_sign(t) == -1)
         before = {family: (sign, dict(coords)) for family, (sign, coords) in memo.items()}
         first = rewrite_module._reduce(t)
         second = rewrite_module._reduce(t)
-        assert first == second == rotation_oracle.reduce_unsigned(_family(t), {})
-        assert first is not memo[_family(t)][1]
+        assert first == second == rotation_oracle.reduce_unsigned(t._masks, {})
+        assert first is not memo[t._masks][1]
         assert {family: (sign, dict(coords)) for family, (sign, coords) in memo.items()} == before
 
 

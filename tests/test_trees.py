@@ -9,15 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidcycles.trees as trees_module
-from braidcycles.decomposition import balanced_tree_to_k, decompose, pair
+import rotation_oracle
+import tree_oracle
+from braidcycles.decomposition import (balanced_tree_to_k, build_balanced_tree, decompose,
+                                       k_sequences, pair)
 from braidcycles.errors import TreeError
-from braidcycles.rewrite import find_unbalanced, reduce_to_balanced
+from braidcycles.rewrite import find_unbalanced, reduce_to_balanced, rotate
 from braidcycles.trees import (
     MAX_DEPTH,
     Tree,
     _build,
-    _family,
-    _root_family,
     balance_report,
     descendant_sets,
     enumerate_balanced,
@@ -46,15 +47,20 @@ def factorial(n):
     return out
 
 
-def random_tree(rng, n):
-    """Random tree on leaves 1..n, built by random cluster merges."""
+def random_node(rng, n):
+    """Random nested pairs on leaves 1..n, built by random cluster merges."""
     clusters = list(range(1, n + 1))
     while len(clusters) > 1:
         i, j = rng.sample(range(len(clusters)), 2)
         a, b = clusters[i], clusters[j]
         clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
         clusters.append((a, b))
-    return Tree.from_node(clusters[0])
+    return clusters[0]
+
+
+def random_tree(rng, n):
+    """Random tree on leaves 1..n, built by random cluster merges."""
+    return Tree.from_node(random_node(rng, n))
 
 
 # Texts the one-descent parser must refuse with exactly these messages; the
@@ -448,42 +454,94 @@ def shuffled(rng, node):
     return (a, b) if rng.random() < 0.5 else (b, a)
 
 
+def labels_of(mask):
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
 class TestCarriedFamily:
-    """Checked inputs carry the canonical mask family of their one walk."""
+    """A Tree carries only its canonical mask family.  Every way of making one
+    gives what tree_oracle reads from the canonical nested root: the family,
+    the root, the text and the repr, with one hash per tree."""
+
+    @staticmethod
+    def check(t, root, g):
+        assert vars(t).keys() == {"_masks", "genus"}
+        assert (t._masks, t.root, t.render(), repr(t)) == tree_oracle.facts(root, g)
+        reference = Tree(root=root, genus=g)
+        assert t == reference and hash(t) == hash(reference) and t.genus == g
+
+    @staticmethod
+    def checked(rng, root, g):
+        """The Trees of the checked inputs: text, Tree(...) and from_node."""
+        return (parse_tree(node_text(shuffled(rng, root))), Tree(root, g),
+                Tree(root=root, genus=g), Tree.from_node(shuffled(rng, root)))
+
+    def check_built(self, rng, root, g):
+        """tree_from_sets, _build and rotate at one seeded node."""
+        family = tree_oracle.root_family(root)
+        self.check(tree_from_sets(labels_of(m) for m in rng.sample(family, len(family))),
+                   root, g)
+        self.check(_build(family), root, g)
+        if nodes := [v for v, m in enumerate(family, start=1) if bin(m).count("1") >= 3]:
+            v = rng.choice(nodes)
+            rotated = rotation_oracle.rotated_roots(root, labels_of(family[v - 1]))[1]
+            for t, expected in zip(rotate(Tree(root, g), v), rotated):
+                self.check(t, expected, g)
 
     @pytest.mark.parametrize("g", range(3, 9))
     def test_checked_inputs_carry_the_walked_family(self, g):
         rng = random.Random(g)
-        for t in enumerate_trees(g):
-            family = _root_family(t.root)
-            for checked in (parse_tree(node_text(shuffled(rng, t.root))),
-                            Tree(root=t.root, genus=g),
-                            Tree.from_node(shuffled(rng, t.root))):
-                assert checked._masks == family
-                assert checked == t and hash(checked) == hash(t) and repr(checked) == repr(t)
+        for root in tree_oracle.roots(g):
+            for t in self.checked(rng, root, g):
+                self.check(t, root, g)
 
-    @pytest.mark.parametrize("g", range(3, 8))
-    def test_built_and_enumerated_trees_carry_none(self, g):
-        for t in enumerate_trees(g) + enumerate_balanced(g):
-            assert t._masks is None
-            assert _build(_family(t))._masks is None
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_built_and_enumerated_trees_carry_their_family(self, g):
+        rng = random.Random(g)
+        roots = tree_oracle.roots(g)
+        enumerated = enumerate_trees(g)
+        assert len(enumerated) == len(roots)
+        for t, root in zip(enumerated, roots):
+            self.check(t, root, g)
+            self.check_built(rng, root, g)
+        ks = k_sequences(g)
+        balanced_roots = [tree_oracle.balanced_root(k) for k in ks]
+        for k, root in zip(ks, balanced_roots):
+            self.check(build_balanced_tree(k), root, g)
+        balanced = enumerate_balanced(g)
+        assert len(balanced) == len(ks)
+        for t, root in zip(balanced, sorted(balanced_roots, key=tree_oracle.text)):
+            self.check(t, root, g)
+
+    @pytest.mark.parametrize("g", (9, 10))
+    def test_random_trees_every_way(self, g):
+        rng = random.Random(g)
+        for _ in range(200):
+            root = tree_oracle.canonicalize(random_node(rng, g - 1))[0]
+            for t in self.checked(rng, root, g):
+                self.check(t, root, g)
+            self.check_built(rng, root, g)
+            k = tuple(rng.randint(1, i) for i in range(1, g - 1))
+            self.check(build_balanced_tree(k), tree_oracle.balanced_root(k), g)
 
     def test_parsed_trees_skip_the_walk(self, monkeypatch):
+        # the queries read the held family and fold nothing back to nested
+        # pairs or text (the balanced terms' texts are cached by the first call)
         t = parse_tree("(((1,4),3),(2,5))")
         expected = (decompose(t), pair((1, 1, 2, 1), t), reduce_to_balanced(t),
                     find_unbalanced(t))
 
-        def walked(root):
-            raise AssertionError("the family was walked")
+        def folded(*args):
+            raise AssertionError("the family was folded")
 
-        monkeypatch.setattr(trees_module, "_root_family", walked)
+        monkeypatch.setattr(trees_module, "_fold", folded)
         assert (decompose(t), pair((1, 1, 2, 1), t), reduce_to_balanced(t),
                 find_unbalanced(t)) == expected
 
 
 def test_query_path_leaves_no_reference_cycle():
-    """Parsing, building, the family walk, the determinant queries and the
-    rewriting route free everything they make by reference counting; the
+    """Parsing, building, the folds to root and text, the determinant queries
+    and the rewriting route free everything they make by reference counting; the
     collector finds nothing."""
     rng = random.Random(9)
     trees, balanced = enumerate_trees(6), enumerate_balanced(6)
@@ -499,7 +557,7 @@ def test_query_path_leaves_no_reference_cycle():
             pair(tuple(rng.randint(1, i) for i in range(1, t.genus - 1)), t)
             reduce_to_balanced(t).to_decomposition()
         for t in trees:
-            _family(t)
+            assert Tree(t.root, t.genus) == parse_tree(t.render())
         for t in balanced:
             balanced_tree_to_k(t)
         assert gc.collect() == 0

@@ -1,5 +1,4 @@
 import json
-import warnings
 from collections import Counter
 
 import pytest
@@ -10,7 +9,7 @@ import braidcycles.verification as verification
 from braidcycles.decomposition import det, incidence_matrix, k_sequences
 from braidcycles.errors import DomainError
 from braidcycles.rewrite import rotation_triple
-from braidcycles.trees import _family, enumerate_trees
+from braidcycles.trees import enumerate_trees
 from braidcycles.verification import (
     SuiteReport,
     relation_cases,
@@ -95,7 +94,7 @@ class TestRelations:
     @pytest.mark.parametrize("sample", (verification.MAX_SAMPLE + 1, 10**5000),
                              ids=("one over", "5001 digits"))
     def test_sample_over_budget_rejected(self, monkeypatch, sample):
-        monkeypatch.setattr(verification, "_relation_pool", None)  # refused before the pool
+        monkeypatch.setattr(verification, "relation_cases", None)  # refused before the pool
         with pytest.raises(DomainError, match="^sample is over the sampling budget of 1000000$"):
             verify_relations(7, sample=sample)
 
@@ -133,17 +132,13 @@ class TestRelations:
         # 264 distinct draws out of a pool of 270
         assert len(calls) == len(set(calls)) == len(set(draws)) == 264
 
-    def test_walks_each_pool_tree_once(self, monkeypatch):
-        walked = []
-        family = verification._family
+    def test_folds_no_tree_when_passing(self, monkeypatch):
+        # the suite reads each tree's family; no root or text is folded from it
+        def folded(*args):
+            raise AssertionError("a tree was folded to its root or text")
 
-        def counted(tree):
-            walked.append(tree)
-            return family(tree)
-
-        monkeypatch.setattr(verification, "_family", counted)
+        monkeypatch.setattr(trees_module, "_fold", folded)
         assert verify_relations(6, sample=1000, seed=0).passed
-        assert len(walked) == len(set(walked)) == 105
 
     def test_one_coordinate_computation_per_distinct_tree(self, monkeypatch):
         calls = []
@@ -164,20 +159,29 @@ class TestRelations:
         tree's canonical coordinate, against the permutation expansion."""
         for tree, pos in relation_cases(g):
             for ot in rotation_triple(tree, pos).trees:
-                coords = verification._coordinates(_family(ot.tree))
+                coords = verification._coordinates(ot.tree._masks)
                 for k in k_sequences(g):
                     matrix = incidence_matrix(k, ot.tree, ordering=ot.ordering)
                     assert ot.parity() * coords.get(k, 0) == det_by_permutation_expansion(matrix)
 
     def test_builds_no_tree_when_passing(self, monkeypatch):
-        # the suite runs on mask families; trees are built for witnesses only
+        # the suite runs on mask families; past the enumerated pool (the 15
+        # and 945 trees of genus 5 and 7), trees are built for witnesses only
         def tree_built(*args, **kwargs):
             raise AssertionError("verify_relations built a tree")
 
-        for module in (trees_module, rewrite, verification):
+        for module in (rewrite, verification):
             monkeypatch.setattr(module, "_build", tree_built)
+        built, build = [], trees_module._build
+
+        def counted(masks):
+            built.append(masks)
+            return build(masks)
+
+        monkeypatch.setattr(trees_module, "_build", counted)
         assert verify_relations(5).passed
         assert verify_relations(7, sample=300, seed=1).passed
+        assert len(built) == 15 + 945
 
     def test_repeated_failures_reported_per_draw(self, monkeypatch):
         # every case fails; a case drawn n times must be reported n times
@@ -200,14 +204,6 @@ class TestCrosspath:
         assert report.passed
         assert report.cases == len(enumerate_trees(g))
 
-    def test_threads_equivalent(self):
-        a = verify_crosspath(5).to_json()
-        with pytest.warns(DeprecationWarning, match="threads is deprecated"):
-            b = verify_crosspath(5, threads=3).to_json()
-        a.pop("millis")
-        b.pop("millis")
-        assert a == b
-
     def test_builds_no_terms(self, monkeypatch):
         # crosspath compares coordinates only, so no balanced term is built
         def term_built(*args, **kwargs):
@@ -216,23 +212,6 @@ class TestCrosspath:
         monkeypatch.setattr(rewrite, "_balanced_term", term_built)
         monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
         assert verify_crosspath(6).passed
-
-
-class TestThreadsDeprecated:
-    @pytest.mark.parametrize("suite", (
-        lambda threads: verify_duality(4, threads=threads),
-        lambda threads: verify_relations(5, threads=threads),
-        lambda threads: verify_crosspath(4, threads=threads),
-    ), ids=("duality", "relations", "crosspath"))
-    def test_warns_unless_one(self, suite):
-        with pytest.warns(DeprecationWarning, match="threads is deprecated"):
-            threaded = suite(2).to_json()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plain = suite(1).to_json()
-        threaded.pop("millis")
-        plain.pop("millis")
-        assert threaded == plain
 
 
 class TestArnold:
@@ -275,7 +254,7 @@ class TestVectorizedIncidence:
     @pytest.mark.parametrize("g", (3, 4, 5, 6))
     def test_stack_matches_scalar(self, g):
         for t in enumerate_trees(g):
-            coords = verification._coordinates(_family(t))
+            coords = verification._coordinates(t._masks)
             for k in k_sequences(g):
                 assert coords.get(k, 0) == det(incidence_matrix(k, t))
             assert set(coords.values()) <= {-1, 1}
