@@ -53,10 +53,9 @@ def k_sequences(g: int) -> list[KSequence]:
     return [tuple(k) for k in itertools.product(*(range(1, i + 1) for i in range(1, g - 1)))]
 
 
-@functools.lru_cache(maxsize=_CACHE_CAP)
-def _construct(k: KSequence) -> tuple[Tree, Masks, int]:
-    """Run the merge construction: the tree, its construction ordering as
-    masks, and the parity between its canonical and construction orderings.
+def _merge(k: KSequence) -> tuple[Masks, Masks]:
+    """Run the merge construction: the canonical family of its tree and the
+    construction ordering, both as masks.
 
     Clusters start as singletons {1}, ..., {g-1}; step i (taken for i = g-2
     down to 1) joins the cluster whose representative is k_i with the one
@@ -71,19 +70,26 @@ def _construct(k: KSequence) -> tuple[Tree, Masks, int]:
         a = k[i - 1]
         mask_of[a] |= mask_of.pop(i + 1)
         created.append(mask_of[a])
-    ordering = tuple(reversed(created))
-    family = tuple(sorted(created, key=_mask_key))
-    return _build(family), ordering, perm_sign_of([ordering.index(m) for m in family])
+    return tuple(sorted(created, key=_mask_key)), tuple(reversed(created))
+
+
+@functools.lru_cache(maxsize=_CACHE_CAP)
+def _construct(k: KSequence) -> tuple[str, Tree, int]:
+    """The text and tree of the balanced tree of k, and epsilon(k): the
+    parity between its canonical and construction orderings."""
+    family, ordering = _merge(k)
+    tree = _build(family)
+    return tree.render(), tree, perm_sign_of([ordering.index(m) for m in family])
 
 
 def build_balanced_tree(k: Sequence[int]) -> Tree:
     """The balanced tree attached to an index sequence."""
-    return _construct(validate_k(k))[0]
+    return _construct(validate_k(k))[1]
 
 
 def construction_ordering(k: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Node sets of build_balanced_tree(k) in construction order (root first)."""
-    return tuple(map(_labels, _construct(validate_k(k))[1]))
+    return tuple(map(_labels, _merge(validate_k(k))[1]))
 
 
 def balanced_tree_to_k(t: Tree) -> KSequence:

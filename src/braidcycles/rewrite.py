@@ -13,8 +13,8 @@ The engine rotates canonical families held as int bitmasks (see trees.py):
 a node's lowest label is m & -m, and a rotation replaces one mask.  It reads
 each balanced family as its index sequence k and epsilon(k), so a reduction
 is {k: coeff * epsilon(k)}: coordinates over the construction-ordered basis.
-Trees are built only for traces and, from a cache per k, for returned terms;
-public functions take and return frozensets.
+Trees are built only for traces and, from the merge construction's cache
+per k, for returned terms; public functions take and return frozensets.
 
 Orderings are tracked by descendant set: the rotated node keeps its position
 while its set changes.  Signs are meaningless without this alignment.
@@ -23,7 +23,6 @@ while its set changes.  Signs are meaningless without this alignment.
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,15 +50,6 @@ class OrderedTree:
         canonical = descendant_sets(self.tree)
         if len(self.ordering) != len(canonical) or set(self.ordering) != set(canonical):
             raise DomainError("ordering is not a permutation of the tree's node sets")
-
-    @classmethod
-    def _trusted(cls, tree: Tree, ordering: tuple[frozenset[int], ...]) -> OrderedTree:
-        """An OrderedTree whose ordering is a permutation of the tree's node
-        sets by construction; no checks."""
-        ordered = object.__new__(cls)
-        object.__setattr__(ordered, "tree", tree)
-        object.__setattr__(ordered, "ordering", ordering)
-        return ordered
 
     @classmethod
     def canonical(cls, tree: Tree) -> OrderedTree:
@@ -101,7 +91,7 @@ def is_cyclic_triple(t1: Tree, t2: Tree, t3: Tree) -> CyclicTriple | None:
     s = f1.index(b2 | b3) + 1
     # swapping d1 = b2|b3 for d gives core | {d}, exactly the node sets of t
     aligned = tuple(
-        OrderedTree._trusted(t, ord1[:s - 1] + (_labels(d),) + ord1[s:])
+        OrderedTree(tree=t, ordering=ord1[:s - 1] + (_labels(d),) + ord1[s:])
         for t, d in ((t1, b2 | b3), (t2, b1 | b3), (t3, b1 | b2))
     )
     return CyclicTriple(trees=aligned, blocks=(_labels(b1), _labels(b2), _labels(b3)), s=s,
@@ -126,22 +116,19 @@ def _cyclic_blocks(f1: Masks, f2: Masks, f3: Masks) -> tuple[int, int, int] | No
     return b1, b2, b3
 
 
-def _scan(masks: Masks, stop: int | None = None) -> tuple[list[int], int | None]:
+def _scan(masks: Masks) -> tuple[list[int], int | None]:
     """One backward pass over a family: per index, the child mask holding the
     node's lowest label lo (the last mask seen whose lowest bit is lo, else
     the leaf lo), and the position of a deepest unbalanced node, the smallest
-    on ties, or None.  Given `stop`, the pass ends at that index and finds no
-    unbalanced node.  `best` keys each subtree holding one by its lowest bit,
+    on ties, or None.  `best` keys each subtree holding one by its lowest bit,
     with depth * n - index of its best one, depth counted from the subtree's
     top; a parent takes over its children's keys (-n if none)."""
     n, firsts = len(masks), [0] * len(masks)
     top, best = {}, {}  # by lowest bit: the last mask seen, and keys as above
-    for j, s in zip(range(n - 1, -1 if stop is None else stop - 1, -1), reversed(masks)):
+    for j, s in zip(range(n - 1, -1, -1), reversed(masks)):
         lo = s & -s
         a = firsts[j] = top.get(lo, lo)
         top[lo] = s
-        if stop is not None:
-            continue
         if best:
             b = s ^ a
             key_a, key_b = best.pop(lo, -n), best.pop(b & -b, -n)
@@ -167,7 +154,7 @@ def _rotation(masks: Masks, v: int, firsts: list[int] | None = None) -> tuple[in
     inside v1 is what makes re-rotating the first output recover the input."""
     if not (1 <= v <= len(masks)):
         raise DomainError(f"node index {v} out of range 1..{len(masks)}")
-    firsts = _scan(masks, v - 1)[0] if firsts is None else firsts
+    firsts = _scan(masks)[0] if firsts is None else firsts
     v1, v2 = _children(masks[v - 1], firsts[v - 1])
     if v1.bit_count() < 2:
         raise DomainError("node has two leaf children; no rotation is available")
@@ -206,14 +193,6 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
                                  for new in (u1 | v2, v2 | u2)))
 
 
-@functools.lru_cache(maxsize=_CACHE_CAP)
-def _balanced_term(k: KSequence) -> tuple[str, Tree, int]:
-    """Render text, tree and epsilon(k) of the balanced tree of k.  The merge
-    construction runs uncached, so that its node sets are not kept too."""
-    tree, _, eps = _construct.__wrapped__(k)
-    return tree.render(), tree, eps
-
-
 def find_unbalanced(t: Tree) -> int | None:
     """Canonical position of a deepest unbalanced node (smallest position on
     ties), or None when the tree is balanced."""
@@ -246,7 +225,7 @@ class SignedTreeSum:
     def _from_k(cls, g: int, by_k: dict[KSequence, int]) -> SignedTreeSum:
         """The sum with coordinates `by_k` (nonzero, epsilon folded in), its
         terms sorted by text; a balanced tree's text is unique."""
-        entries = sorted((_balanced_term(k), c) for k, c in by_k.items())
+        entries = sorted((_construct(k), c) for k, c in by_k.items())
         signed = cls(g=g, terms=tuple((tree, c * eps) for (_, tree, eps), c in entries))
         object.__setattr__(signed, "_by_k", by_k)
         return signed

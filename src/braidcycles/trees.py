@@ -44,8 +44,8 @@ _COUNT_SHOWN = 10 ** 18
 
 Masks = tuple[int, ...]  # a canonical family as bitmasks, bit x for label x
 
-# Bound of every cache over trees or node-set families (all 10,395 of genus 8),
-# shared by the arnold ring's product cache.
+# Bound of every cache (all 10,395 trees of genus 8 fit), the arnold ring's
+# product cache included.
 _CACHE_CAP = 1 << 15
 
 
@@ -68,9 +68,8 @@ def _bits(m: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-@functools.lru_cache(maxsize=_CACHE_CAP)
 def _labels(m: int) -> frozenset[int]:
-    """The label set of a mask, one shared frozenset per mask (2^(g-1) of them)."""
+    """The label set of a mask."""
     return frozenset(_bits(m))
 
 
@@ -255,7 +254,6 @@ def render_tree(t: Tree) -> str:
     return t.render()
 
 
-@functools.lru_cache(maxsize=_CACHE_CAP)
 def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     """Descendant leaf sets of the internal nodes, in canonical ordering.
 
@@ -444,7 +442,7 @@ def tree_to_json(t: Tree) -> dict:
 
 
 def _json_entry(g: int, masks: Masks, text: str) -> dict:
-    return {"g": g, "newick": text, "nodes": [sorted(_labels(m)) for m in masks]}
+    return {"g": g, "newick": text, "nodes": [list(_bits(m)) for m in masks]}
 
 
 def _json_listing(g: int, balanced: bool) -> Iterator[dict]:

@@ -27,6 +27,7 @@ from .decomposition import (
     build_balanced_tree,
     decompose,
     det,
+    duality_table,
     epsilon,
     incidence_matrix,
     k_sequences,
@@ -85,30 +86,23 @@ def verify_duality(g: int, ceiling: int = 7) -> SuiteReport:
         raise DomainError(f"genus {g} outside configured range 3..{ceiling}")
     start = time.perf_counter()
     ks = k_sequences(g)
-    trees = [build_balanced_tree(k) for k in ks]
+    table = duality_table(g)
     size = g - 2
-
-    def check_column(col: int) -> list[dict]:
-        k = ks[col]
-        tree = trees[col]
-        bad = []
-        coords = _coordinates(tree._masks)
+    failures = []
+    for col, k in enumerate(ks):
         eps = epsilon(k)
-        for row in sorted(coords.keys() | {k}):
+        for row, line in zip(ks, table):
             expected = eps if row == k else 0
-            if coords.get(row, 0) != expected:
-                bad.append({"check": "canonical-table", "k": list(row),
-                            "tree": tree.render(), "got": coords.get(row, 0),
-                            "expected": expected})
+            if line[col] != expected:
+                failures.append({"check": "canonical-table", "k": list(row),
+                                 "tree": build_balanced_tree(k).render(), "got": line[col],
+                                 "expected": expected})
         cert = unit_triangular_certificate(k)
         for i in range(size):
             if cert[i][i] != 1 or any(cert[i][j] != 0 for j in range(i + 1, size)):
-                bad.append({"check": "construction-unitriangular", "k": list(k),
-                            "matrix": [list(r) for r in cert]})
+                failures.append({"check": "construction-unitriangular", "k": list(k),
+                                 "matrix": [list(r) for r in cert]})
                 break
-        return bad
-
-    failures = [f for col in range(len(ks)) for f in check_column(col)]
     failures.sort(key=lambda f: (f["check"], str(f.get("k"))))
     return SuiteReport("duality", g, len(ks) * len(ks) + len(ks), failures,
                        int((time.perf_counter() - start) * 1000))
@@ -131,6 +125,8 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0) -> SuiteReport:
     """
     if g < 3:
         raise DomainError(f"genus must be at least 3, got {g}")
+    if g == 3:  # the suite would pass vacuously
+        raise DomainError("genus 3 trees have no node to rotate; relations needs genus >= 4")
     _check_sample(sample)
     start = time.perf_counter()
     pool = relation_cases(g)

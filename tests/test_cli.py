@@ -357,6 +357,13 @@ class TestVerify:
         code, _, _ = run("verify", "--suite", "counts", "--g", "99")
         assert code == 1
 
+    def test_relations_at_genus_3_exits_1(self, run):
+        # no node to rotate: refused rather than passing on 0 cases
+        code, out, err = run("verify", "--suite", "relations", "--g", "3")
+        assert (code, out) == (1, "")
+        assert err == ("error: genus 3 trees have no node to rotate; "
+                       "relations needs genus >= 4\n")
+
     def test_bad_threads_exits_1(self, run):
         code, _, _ = run("verify", "--suite", "counts", "--g", "4", "--threads", "0")
         assert code == 1

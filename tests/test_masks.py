@@ -14,6 +14,8 @@ import pytest
 
 from braidcycles.decomposition import (
     _construct,
+    _merge,
+    build_balanced_tree,
     construction_ordering,
     epsilon,
     k_sequences,
@@ -105,11 +107,15 @@ class TestMaskConstruction:
     @pytest.mark.parametrize("g", range(3, 9))
     def test_construction_matches_frozenset_oracle(self, g):
         for k in k_sequences(g):
-            tree, ordering, parity = _construct.__wrapped__(k)
+            family, ordering = _merge(k)
+            text, tree, parity = _construct(k)
             want_tree, want_ordering, want_parity = frozenset_construction(k)
+            assert family == want_tree._masks
             assert tree == want_tree
             assert hash(tree) == hash(want_tree)
+            assert text == want_tree.render()
             assert tuple(map(_labels, ordering)) == want_ordering
             assert parity == want_parity
+            assert build_balanced_tree(k) == want_tree
             assert construction_ordering(k) == want_ordering
             assert epsilon(k) == want_parity

@@ -397,8 +397,8 @@ class TestOrderedTree:
 
     @pytest.mark.parametrize("g", range(4, 8))
     def test_trusted_orderings_pass_validation(self, g):
-        # rotation_triple and is_cyclic_triple skip the permutation check;
-        # the validating constructor must accept what they build
+        # rotating and matching build their orderings from masks; the
+        # validating constructor accepts them again and gives equal objects
         for t in enumerate_trees(g):
             for v in eligible_nodes(t):
                 triple = rotation_triple(t, v)
@@ -419,9 +419,12 @@ class TestIndexSequences:
 
     @pytest.mark.parametrize("g", range(3, 10))
     def test_term_cache_matches_construction(self, g):
+        # the returned terms come from the merge construction's cache per k
         for b in enumerate_balanced(g):
             k = balanced_tree_to_k(b)
-            assert rewrite_module._balanced_term(k) == (b.render(), b, epsilon(k))
+            parity = decomposition.parity_between(descendant_sets(b),
+                                                  decomposition.construction_ordering(k))
+            assert rewrite_module._construct(k) == (b.render(), b, parity)
 
     @pytest.mark.parametrize("mode", ("shared-memo", "trace", "step-limit"))
     @pytest.mark.parametrize("g", range(3, 8))
@@ -443,6 +446,3 @@ class TestIndexSequences:
         assert hash(engine) == hash(by_hand)
         assert repr(engine) == repr(by_hand)
         assert "_by_k" not in repr(engine)
-
-    def test_term_cache_is_bounded(self):
-        assert rewrite_module._balanced_term.cache_info().maxsize == 2**15

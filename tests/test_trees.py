@@ -1,13 +1,14 @@
 import functools
 import gc
-import itertools
+import importlib
+import pkgutil
 import random
-import weakref
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import braidcycles
 import braidcycles.trees as trees_module
 import rotation_oracle
 import tree_oracle
@@ -426,18 +427,6 @@ class TestDescendantSets:
         with pytest.raises(TreeError, match=message):
             tree_from_sets([frozenset(s) for s in sets])
 
-    def test_cache_is_bounded(self):
-        descendant_sets.cache_clear()
-        first = parse_tree("((1,2),3)")
-        descendant_sets(first)
-        freed = weakref.ref(first)
-        del first
-        for t in itertools.islice(enumerate_trees(9), descendant_sets.cache_info().maxsize):
-            descendant_sets(t)
-        gc.collect()
-        assert freed() is None
-        assert descendant_sets.cache_info().currsize == 1 << 15
-
     def test_json_form(self):
         assert tree_to_json(parse_tree("((1,2),3)")) == {
             "g": 4,
@@ -563,3 +552,22 @@ def test_query_path_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_every_cache_is_bounded():
+    """Every module-level functools cache in the package holds at most
+    _CACHE_CAP entries, and the three that remain are the ones its traffic
+    uses: label tuples per mask, the merge construction per k, and the
+    arnold ring's sorted products."""
+    bounds = {}
+    for info in pkgutil.iter_modules(braidcycles.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"braidcycles.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                bounds[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert trees_module._CACHE_CAP == 1 << 15
+    assert bounds == dict.fromkeys(
+        ("arnold._reduce_sorted", "decomposition._construct", "trees._bits"),
+        trees_module._CACHE_CAP)

@@ -64,9 +64,13 @@ class TestDuality:
 
 class TestRelations:
     def test_g3_vacuous(self):
-        report = verify_relations(3)
-        assert report.passed
-        assert report.cases == 0
+        # a genus-3 tree has no node to rotate, so the suite is refused
+        # rather than passing on 0 cases; below genus 3 the message is the old one
+        assert relation_cases(3) == []
+        with pytest.raises(DomainError, match="no node to rotate"):
+            verify_relations(3)
+        with pytest.raises(DomainError, match="genus must be at least 3, got 2"):
+            verify_relations(2)
 
     @pytest.mark.parametrize("g", (4, 5))
     def test_exhaustive(self, g):
@@ -209,7 +213,7 @@ class TestCrosspath:
         def term_built(*args, **kwargs):
             raise AssertionError("verify_crosspath built a balanced term")
 
-        monkeypatch.setattr(rewrite, "_balanced_term", term_built)
+        monkeypatch.setattr(rewrite, "_construct", term_built)
         monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
         assert verify_crosspath(6).passed
 
