@@ -214,6 +214,9 @@ class TestStraighten:
         shuffled = [factors[i] for i in perm]
         assert straighten(n, shuffled) == straighten(n, factors).scale(perm_sign(perm))
 
+    def test_cache_is_bounded(self):
+        assert arnold._reduce_sorted.cache_info().maxsize == 2**15
+
 
 # ---------------------------------------------------------------------------
 # ring structure

@@ -138,6 +138,9 @@ class TestConstruction:
         with pytest.raises(DomainError, match="not balanced"):
             raw.to_decomposition()
 
+    def test_construction_cache_is_bounded(self):
+        assert decomposition._construct.cache_info().maxsize == 2**15
+
     def test_construction_ordering_root_first(self):
         ordering = construction_ordering((1, 1, 2))
         assert ordering[0] == frozenset({1, 2, 3, 4})

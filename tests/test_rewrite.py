@@ -446,3 +446,8 @@ class TestIndexSequences:
         assert hash(engine) == hash(by_hand)
         assert repr(engine) == repr(by_hand)
         assert "_by_k" not in repr(engine)
+
+    def test_term_cache_is_bounded(self):
+        # the engine's terms are read from the merge construction's cache per k
+        assert rewrite_module._construct is decomposition._construct
+        assert rewrite_module._construct.cache_info().maxsize == 2**15

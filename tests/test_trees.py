@@ -1,8 +1,10 @@
 import functools
 import gc
 import importlib
+import itertools
 import pkgutil
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -426,6 +428,21 @@ class TestDescendantSets:
     def test_reconstruct_messages(self, sets, message):
         with pytest.raises(TreeError, match=message):
             tree_from_sets([frozenset(s) for s in sets])
+
+    def test_cache_is_bounded(self):
+        # descendant_sets keeps no tree alive; the label cache it reads is capped
+        first = parse_tree("((1,2),3)")
+        descendant_sets(first)
+        freed = weakref.ref(first)
+        del first
+        gc.collect()
+        assert freed() is None
+        trees_module._bits.cache_clear()
+        for t in itertools.islice(enumerate_trees(9), 200):
+            descendant_sets(t)
+        for m in range(1, trees_module._CACHE_CAP + 100):
+            trees_module._bits(m)
+        assert trees_module._bits.cache_info().currsize == trees_module._CACHE_CAP == 1 << 15
 
     def test_json_form(self):
         assert tree_to_json(parse_tree("((1,2),3)")) == {
