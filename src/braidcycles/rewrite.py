@@ -29,8 +29,8 @@ from typing import Callable
 from .decomposition import (CycleDecomposition, KSequence, _balanced_k, _check_support,
                             _construct, balanced_tree_to_k, epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
-from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, descendant_sets,
-                    is_balanced)
+from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, _tree_count,
+                    descendant_sets, is_balanced)
 
 TraceHook = Callable[[dict], None]
 
@@ -253,17 +253,13 @@ class SignedTreeSum:
 
 
 # Reductions of canonical mask families as (sign, {k: coeff * epsilon(k)}),
-# sign times the dict, shared by untraced calls without a step limit: callers
-# that reduce many trees of one genus (crosspath, checks of the determinant
-# route) revisit the same intermediate trees.  Emptied at the cap.
+# sign times the dict, shared by untraced calls: callers that reduce many
+# trees of one genus (crosspath, checks of the determinant route) revisit the
+# same intermediate trees.  Emptied at the cap.
 _SHARED_MEMO: dict[Masks, tuple[int, dict[KSequence, int]]] = {}
 
-# Without a step_limit, reduce_to_balanced allows _BUDGET_BASE ** genus rotations.
-_BUDGET_BASE = 3
 
-
-def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
-                       step_limit: int | None = None) -> SignedTreeSum:
+def reduce_to_balanced(t: Tree, trace: TraceHook | None = None) -> SignedTreeSum:
     """Rewrite a tree's cycle as a signed sum of balanced-tree cycles.
 
     Balanced input is returned as itself with coefficient 1.  Otherwise the
@@ -272,34 +268,31 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None,
     The recursion sums coordinates keyed by k, epsilon folded in, and the
     returned sum carries them for to_decomposition.
     Each rotation is reported to `trace` when given (which also disables
-    memoization, so the trace covers the whole recursion tree).  The step
-    ceiling of 3^g is a circuit breaker only (it raises RewriteBudgetError);
-    the height measure already guarantees termination.  Reductions are
-    memoized across calls, except under an explicit `step_limit`, which then
-    counts every rotation of this tree's reduction.  Refused, like decompose,
-    when the (g-2)! worst-case support is over MAX_TREES.
+    memoization, so the trace covers the whole recursion tree).  Reductions
+    are memoized across calls.  Refused, like decompose, when the (g-2)!
+    worst-case support is over MAX_TREES.
     """
     _check_support(t.genus)
-    return SignedTreeSum._from_k(t.genus, _reduce(t, trace, step_limit))
+    return SignedTreeSum._from_k(t.genus, _reduce(t, trace))
 
 
-def _reduce(t: Tree, trace: TraceHook | None = None,
-            step_limit: int | None = None) -> dict[KSequence, int]:
+def _reduce(t: Tree, trace: TraceHook | None = None) -> dict[KSequence, int]:
     """The coordinates {k: coeff * epsilon(k)} of reduce_to_balanced(t), with
-    no terms built.  The result may be the shared memo's; do not mutate it."""
-    limit = _BUDGET_BASE ** t.genus if step_limit is None else step_limit
-    memo = _SHARED_MEMO if step_limit is None else {}
-    sign, coords = _reduce_family(t._masks, memo, trace, [0], limit)
+    no terms built.  The result may be the shared memo's; do not mutate it.
+    Unmemoized, a reduction makes one rotation fewer than its support size
+    of at most (g-2)! (tested up to genus 7, and on caterpillars), and the
+    memo only skips rotations: the budget of (g-2)! rotations is a circuit
+    breaker for a fault in the engine."""
+    sign, coords = _reduce_family(t._masks, trace, [0], _tree_count(t.genus, True))
     return coords if sign == 1 else {k: -c for k, c in coords.items()}
 
 
-def _reduce_family(masks: Masks, memo: dict[Masks, tuple[int, dict[KSequence, int]]],
-                   trace: TraceHook | None, steps: list[int],
+def _reduce_family(masks: Masks, trace: TraceHook | None, steps: list[int],
                    limit: int) -> tuple[int, dict[KSequence, int]]:
     """(sign, coords) of a family's reduction, sign times coords, from or into
-    `memo` unless traced; steps[0] counts rotations against `limit`.  Not a
-    closure, so that a call leaves no reference cycle behind."""
-    if trace is None and (known := memo.get(masks)) is not None:
+    _SHARED_MEMO unless traced; steps[0] counts rotations against `limit`.
+    Not a closure, so that a call leaves no reference cycle behind."""
+    if trace is None and (known := _SHARED_MEMO.get(masks)) is not None:
         return known
     firsts, v = _scan(masks)
     if v is None:
@@ -316,8 +309,8 @@ def _reduce_family(masks: Masks, memo: dict[Masks, tuple[int, dict[KSequence, in
             trace({"at": i + 1,
                    "triple": [_build(f).render() for f in (masks, family_a, family_b)]})
         # sum -sigma * sign * coords: copy the larger dict, add the smaller
-        sign_a, a = _reduce_family(family_a, memo, trace, steps, limit)
-        sign_b, b = _reduce_family(family_b, memo, trace, steps, limit)
+        sign_a, a = _reduce_family(family_a, trace, steps, limit)
+        sign_b, b = _reduce_family(family_b, trace, steps, limit)
         sign_a, sign_b = -sigma_a * sign_a, -sigma_b * sign_b
         if len(a) < len(b):
             sign_a, a, sign_b, b = sign_b, b, sign_a, a
@@ -329,7 +322,7 @@ def _reduce_family(masks: Masks, memo: dict[Masks, tuple[int, dict[KSequence, in
                 del merged[k]
         result = (sign_a, merged)
     if trace is None:
-        if len(memo) >= _CACHE_CAP:
-            memo.clear()
-        memo[masks] = result
+        if len(_SHARED_MEMO) >= _CACHE_CAP:
+            _SHARED_MEMO.clear()
+        _SHARED_MEMO[masks] = result
     return result

@@ -157,10 +157,6 @@ class Tree:
         """Build a canonical Tree from a nested node structure."""
         return _build(_validated(node, len(_check_depth(node)))[0])
 
-    @classmethod
-    def from_string(cls, text: str) -> Tree:
-        return parse_tree(text)
-
     @property
     def root(self) -> Node:
         """The canonical nested pairs of leaf labels."""

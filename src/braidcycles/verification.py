@@ -64,10 +64,10 @@ class SuiteReport:
         }
 
 
-def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
+def verify_counts(g: int) -> SuiteReport:
     """Tree and balanced-tree counts against the closed formulas."""
-    if not 3 <= g <= ceiling:
-        raise DomainError(f"genus {g} outside configured range 3..{ceiling}")
+    if not 3 <= g <= 8:
+        raise DomainError(f"genus {g} outside configured range 3..8")
     start = time.perf_counter()
     failures = []
     checks = (("trees", False), ("balanced", True))
@@ -79,11 +79,11 @@ def verify_counts(g: int, ceiling: int = 8) -> SuiteReport:
                        int((time.perf_counter() - start) * 1000))
 
 
-def verify_duality(g: int, ceiling: int = 7) -> SuiteReport:
+def verify_duality(g: int) -> SuiteReport:
     """Balanced-basis duality: diagonal +-1 table in canonical ordering and
     lower-unitriangular incidence matrices in construction ordering."""
-    if not 3 <= g <= ceiling:
-        raise DomainError(f"genus {g} outside configured range 3..{ceiling}")
+    if not 3 <= g <= 7:
+        raise DomainError(f"genus {g} outside configured range 3..7")
     start = time.perf_counter()
     ks = k_sequences(g)
     table = duality_table(g)
@@ -192,8 +192,6 @@ def verify_cyclic_determinant_identity(triple: CyclicTriple) -> bool:
 
 def verify_crosspath(g: int) -> SuiteReport:
     """Determinant route against the rewriting route, tree by tree."""
-    if g < 3:
-        raise DomainError(f"genus must be at least 3, got {g}")
     start = time.perf_counter()
     trees = enumerate_trees(g)
 

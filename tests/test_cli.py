@@ -213,13 +213,16 @@ class TestDecompose:
         # past Python's int-string limit: refused before int() reads it
         assert run("decompose", "--tree", "(1," + "9" * 5000 + ")") == (
             1, "", "error: leaf labels must have at most 4300 digits\n")
+
     def test_rewrite_budget_exits_1(self, run, monkeypatch):
-        monkeypatch.setattr(rewrite, "_BUDGET_BASE", 0)  # budget 0 ** g = 0 rotations
+        # an injected divergence: every rotation gives back its input family,
+        # so the genus-4 budget of (4-2)! = 2 rotations runs out
+        monkeypatch.setattr(rewrite, "_replaced", lambda masks, i, new: (masks, 1))
         monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
         code, out, err = run("decompose", "--tree", "((1,2),3)", "--method", "rewrite")
         assert code == 1
         assert out == ""
-        assert err == "error: rotation budget 0 exceeded; rewriting diverged\n"
+        assert err == "error: rotation budget 2 exceeded; rewriting diverged\n"
 
     def test_deep_tree_exits_1_without_traceback(self):
         caterpillar = "(" * 1499 + "1" + "".join(f",{i})" for i in range(2, 1501))

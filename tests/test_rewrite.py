@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -338,15 +339,35 @@ class TestReduce:
         assert events[0]["triple"][0] == t.render()
         assert set(events[0]) == {"at", "triple"}
 
-    def test_step_limit(self):
-        with pytest.raises(RuntimeError, match="budget"):
-            reduce_to_balanced(parse_tree("((1,2),3)"), step_limit=0)
+    @staticmethod
+    def _diverge(monkeypatch):
+        # an injected fault: every rotation gives back its input family
+        monkeypatch.setattr(rewrite_module, "_replaced", lambda masks, i, new: (masks, 1))
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
 
-    def test_budget_error_is_typed(self):
+    def test_step_limit(self, monkeypatch):
+        self._diverge(monkeypatch)
+        with pytest.raises(RuntimeError, match="^rotation budget 2 exceeded; rewriting diverged$"):
+            reduce_to_balanced(parse_tree("((1,2),3)"))  # (4-2)! = 2 rotations
+
+    def test_budget_error_is_typed(self, monkeypatch):
+        self._diverge(monkeypatch)
         with pytest.raises(RewriteBudgetError) as info:
-            reduce_to_balanced(parse_tree("((1,2),3)"), step_limit=0)
+            reduce_to_balanced(parse_tree("(((1,2),3),4)"))
+        assert str(info.value) == "rotation budget 6 exceeded; rewriting diverged"
         assert isinstance(info.value, DomainError)
         assert isinstance(info.value, RuntimeError)
+
+    @pytest.mark.parametrize("g", range(3, 10))
+    def test_rotations_stay_under_the_basis_size(self, g):
+        # untraced, hence unmemoized: rotations + 1 is the support size, at
+        # most (g-2)!, the rank of the balanced basis; the caterpillar reaches it
+        caterpillar = parse_tree("(" * (g - 2) + "1" + "".join(f",{i})" for i in range(2, g)))
+        for t in (enumerate_trees(g) if g <= 7 else []) + [caterpillar]:
+            events = []
+            reduce_to_balanced(t, trace=events.append)
+            assert len(events) + 1 == len(decompose(t).coefficients) <= math.factorial(g - 2)
+        assert len(events) + 1 == math.factorial(g - 2)  # the caterpillar, reduced last
 
     def test_json_sorted_by_tree(self):
         s = reduce_to_balanced(parse_tree("((1,2),3)"))
@@ -368,7 +389,7 @@ class TestReduce:
         trees = enumerate_trees(8)
         rng = random.Random(0)
         for t in rng.sample(trees, 200):
-            reduce_to_balanced(t)  # must come back within the 3^g ceiling
+            reduce_to_balanced(t)  # must come back within the (g-2)! budget
 
     @pytest.mark.parametrize("g", (3, 4, 5))
     def test_balanced_sum_converts_with_epsilon(self, g):
@@ -426,11 +447,10 @@ class TestIndexSequences:
                                                   decomposition.construction_ordering(k))
             assert rewrite_module._construct(k) == (b.render(), b, parity)
 
-    @pytest.mark.parametrize("mode", ("shared-memo", "trace", "step-limit"))
+    @pytest.mark.parametrize("mode", ("shared-memo", "trace"))
     @pytest.mark.parametrize("g", range(3, 8))
     def test_carried_coordinates_match_term_walk(self, g, mode):
-        options = {"shared-memo": {}, "trace": {"trace": lambda event: None},
-                   "step-limit": {"step_limit": 3 ** g}}[mode]
+        options = {"shared-memo": {}, "trace": {"trace": lambda event: None}}[mode]
         for t in enumerate_trees(g):
             engine = reduce_to_balanced(t, **options)
             by_hand = SignedTreeSum(t.genus, engine.terms)

@@ -35,10 +35,6 @@ class TestCounts:
         with pytest.raises(DomainError):
             verify_counts(2)
 
-    def test_ceiling_configurable(self):
-        with pytest.raises(DomainError):
-            verify_counts(8, ceiling=7)
-
     def test_fails_when_the_lists_miss_a_tree(self, monkeypatch):
         tree_lists = verification._tree_lists
         monkeypatch.setattr(verification, "_tree_lists",
