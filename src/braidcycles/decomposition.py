@@ -74,17 +74,16 @@ def _merge(k: KSequence) -> tuple[Masks, Masks]:
 
 
 @functools.lru_cache(maxsize=_CACHE_CAP)
-def _construct(k: KSequence) -> tuple[str, Tree, int]:
-    """The text and tree of the balanced tree of k, and epsilon(k): the
-    parity between its canonical and construction orderings."""
+def _construct(k: KSequence) -> tuple[Tree, int]:
+    """The balanced tree of k and epsilon(k): the parity between its
+    canonical and construction orderings."""
     family, ordering = _merge(k)
-    tree = _build(family)
-    return tree.render(), tree, perm_sign_of([ordering.index(m) for m in family])
+    return _build(family), perm_sign_of([ordering.index(m) for m in family])
 
 
 def build_balanced_tree(k: Sequence[int]) -> Tree:
     """The balanced tree attached to an index sequence."""
-    return _construct(validate_k(k))[1]
+    return _construct(validate_k(k))[0]
 
 
 def construction_ordering(k: Sequence[int]) -> tuple[frozenset[int], ...]:
@@ -128,7 +127,7 @@ def parity_between(a: Sequence[frozenset[int]], b: Sequence[frozenset[int]]) -> 
 
 def epsilon(k: Sequence[int]) -> int:
     """Parity between canonical and construction orderings of the tree of k."""
-    return _construct(validate_k(k))[2]
+    return _construct(validate_k(k))[1]
 
 
 def _validate_for(k: Sequence[int], t: Tree) -> KSequence:

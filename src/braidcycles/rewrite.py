@@ -10,11 +10,11 @@ unbalancedness, so repeated rotation ends in a signed sum over balanced
 trees, independently of the determinant route.
 
 The engine rotates canonical families held as int bitmasks (see trees.py):
-a node's lowest label is m & -m, and a rotation replaces one mask.  It reads
-each balanced family as its index sequence k and epsilon(k), so a reduction
-is {k: coeff * epsilon(k)}: coordinates over the construction-ordered basis.
-Trees are built only for traces and, from the merge construction's cache
-per k, for returned terms; public functions take and return frozensets.
+a node's lowest label is m & -m, and a rotation replaces one mask.  Its memo
+is the rotation DAG, whose leaves are the balanced families, each carrying
+its index sequence k, epsilon(k), Tree and text.  A reduction flattens the
+DAG into {k: coeff * epsilon(k)}, coordinates over the construction-ordered
+basis, and its terms are the leaves reached.
 
 Orderings are tracked by descendant set: the rotated node keeps its position
 while its set changes.  Signs are meaningless without this alignment.
@@ -22,14 +22,13 @@ while its set changes.  Signs are meaningless without this alignment.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .decomposition import (CycleDecomposition, KSequence, _balanced_k, _check_support,
-                            _construct, balanced_tree_to_k, epsilon, parity_between)
+                            balanced_tree_to_k, epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
-from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _mask_key, _tree_count,
+from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _tree_count,
                     descendant_sets, is_balanced)
 
 TraceHook = Callable[[dict], None]
@@ -165,9 +164,14 @@ def _rotation(masks: Masks, v: int, firsts: list[int] | None = None) -> tuple[in
 def _replaced(masks: Masks, i: int, new: int) -> tuple[Masks, int]:
     """The canonical family with masks[i] replaced by `new`, and the sign of
     the permutation from that aligned ordering to the canonical one: `new`
-    moves from index i to index p, a cycle of length |p - i| + 1."""
-    rest = masks[:i] + masks[i + 1:]
-    p = bisect.bisect(rest, _mask_key(new), key=_mask_key)
+    moves from index i to index p, a cycle of length |p - i| + 1.  p is found
+    by walking from i, comparing popcounts, then lowest bits."""
+    c, lo = new.bit_count(), new & -new
+    rest, p = masks[:i] + masks[i + 1:], i
+    while p and ((m := rest[p - 1]).bit_count() < c or m.bit_count() == c and m & -m > lo):
+        p -= 1
+    while p < len(rest) and ((m := rest[p]).bit_count() > c or m.bit_count() == c and m & -m < lo):
+        p += 1
     return rest[:p] + (new,) + rest[p:], -1 if (p - i) % 2 else 1
 
 
@@ -204,13 +208,15 @@ class SignedTreeSum:
     """Integer combination of balanced trees, each in canonical ordering.
 
     A sum made by reduce_to_balanced also carries its coordinates
-    {k: coeff * epsilon(k)}; they take no part in ==, hash or repr.
+    {k: coeff * epsilon(k)} and its terms' texts; they take no part in ==,
+    hash or repr.
     """
 
     g: int
     terms: tuple[tuple[Tree, int], ...]
     _by_k: dict[KSequence, int] | None = field(default=None, init=False, repr=False,
                                                 compare=False)
+    _texts: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, g: int, coeffs: dict[Tree, int]) -> SignedTreeSum:
@@ -221,22 +227,14 @@ class SignedTreeSum:
                              key=lambda tc: tc[0].render()))
         return cls(g=g, terms=items)
 
-    @classmethod
-    def _from_k(cls, g: int, by_k: dict[KSequence, int]) -> SignedTreeSum:
-        """The sum with coordinates `by_k` (nonzero, epsilon folded in), its
-        terms sorted by text; a balanced tree's text is unique."""
-        entries = sorted((_construct(k), c) for k, c in by_k.items())
-        signed = cls(g=g, terms=tuple((tree, c * eps) for (_, tree, eps), c in entries))
-        object.__setattr__(signed, "_by_k", by_k)
-        return signed
-
     def as_dict(self) -> dict[Tree, int]:
         return dict(self.terms)
 
     def to_json(self) -> dict:
+        texts = [t.render() for t, _ in self.terms] if self._texts is None else self._texts
         return {
             "g": self.g,
-            "terms": [{"tree": t.render(), "coeff": c} for t, c in self.terms],
+            "terms": [{"tree": text, "coeff": c} for text, (_, c) in zip(texts, self.terms)],
         }
 
     def to_decomposition(self) -> CycleDecomposition:
@@ -252,11 +250,22 @@ class SignedTreeSum:
         return CycleDecomposition.from_dict(self.g, coeffs)
 
 
-# Reductions of canonical mask families as (sign, {k: coeff * epsilon(k)}),
-# sign times the dict, shared by untraced calls: callers that reduce many
-# trees of one genus (crosspath, checks of the determinant route) revisit the
-# same intermediate trees.  Emptied at the cap.
-_SHARED_MEMO: dict[Masks, tuple[int, dict[KSequence, int]]] = {}
+class _Leaf(NamedTuple):
+    """The rotation DAG's node of a balanced family.  A rotated family's node
+    is the tuple (sign_a, node_a, sign_b, node_b): sign_a times node_a's
+    reduction plus sign_b times node_b's."""
+
+    k: KSequence
+    eps: int  # epsilon(k)
+    tree: Tree
+    text: str
+
+
+# The rotation DAG's nodes by canonical family, shared by untraced calls:
+# callers that reduce many trees of one genus (crosspath, checks of the
+# determinant route) revisit the same intermediate trees.  Emptied at the
+# cap; a node keeps its children alive, so a reduction survives a clear.
+_SHARED_MEMO: dict[Masks, _Leaf | tuple] = {}
 
 
 def reduce_to_balanced(t: Tree, trace: TraceHook | None = None) -> SignedTreeSum:
@@ -265,39 +274,56 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None) -> SignedTreeSum
     Balanced input is returned as itself with coefficient 1.  Otherwise the
     tree is rotated at a deepest unbalanced node and both results recurse
     with coefficient -1, their inherited orderings folded into the sign.
-    The recursion sums coordinates keyed by k, epsilon folded in, and the
-    returned sum carries them for to_decomposition.
+    The terms are the balanced leaves reached, sorted by text, and the sum
+    carries their coordinates and texts for to_decomposition and to_json.
     Each rotation is reported to `trace` when given (which also disables
     memoization, so the trace covers the whole recursion tree).  Reductions
     are memoized across calls.  Refused, like decompose, when the (g-2)!
     worst-case support is over MAX_TREES.
     """
     _check_support(t.genus)
-    return SignedTreeSum._from_k(t.genus, _reduce(t, trace))
+    by_k, leaves = _reduce(t, trace)
+    entries = sorted((leaves[k].text, leaves[k].tree, c * leaves[k].eps) for k, c in by_k.items())
+    signed = SignedTreeSum(t.genus, tuple((tree, c) for _, tree, c in entries))
+    object.__setattr__(signed, "_by_k", by_k)
+    object.__setattr__(signed, "_texts", tuple(text for text, _, _ in entries))
+    return signed
 
 
-def _reduce(t: Tree, trace: TraceHook | None = None) -> dict[KSequence, int]:
-    """The coordinates {k: coeff * epsilon(k)} of reduce_to_balanced(t), with
-    no terms built.  The result may be the shared memo's; do not mutate it.
-    Unmemoized, a reduction makes one rotation fewer than its support size
-    of at most (g-2)! (tested up to genus 7, and on caterpillars), and the
-    memo only skips rotations: the budget of (g-2)! rotations is a circuit
-    breaker for a fault in the engine."""
-    sign, coords = _reduce_family(t._masks, trace, [0], _tree_count(t.genus, True))
-    return coords if sign == 1 else {k: -c for k, c in coords.items()}
+def _reduce(t: Tree, trace: TraceHook | None = None
+            ) -> tuple[dict[KSequence, int], dict[KSequence, _Leaf]]:
+    """The coordinates {k: coeff * epsilon(k)} of reduce_to_balanced(t), no
+    zeros kept, and the leaf of each k reached: the DAG flattened from its
+    root with a stack.  Building and flattening each make the rotations of
+    the unmemoized recursion at most, one fewer than its support size of at
+    most (g-2)! (tested up to genus 7, and on caterpillars): past (g-2)!,
+    the engine or the DAG is faulty."""
+    limit = _tree_count(t.genus, True)
+    stack = [(1, _reduce_family(t._masks, trace, [0], limit))]
+    coords, leaves, rotations = {}, {}, 0
+    while stack:
+        coeff, node = stack.pop()
+        while type(node) is not _Leaf:  # descend to node_a, stacking node_b
+            if (rotations := rotations + 1) > limit:
+                raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
+            stack.append((coeff * node[2], node[3]))
+            coeff, node = coeff * node[0], node[1]
+        leaves[node.k] = node
+        coords[node.k] = coords.get(node.k, 0) + coeff * node.eps
+    return ({k: c for k, c in coords.items() if c} if 0 in coords.values() else coords), leaves
 
 
 def _reduce_family(masks: Masks, trace: TraceHook | None, steps: list[int],
-                   limit: int) -> tuple[int, dict[KSequence, int]]:
-    """(sign, coords) of a family's reduction, sign times coords, from or into
-    _SHARED_MEMO unless traced; steps[0] counts rotations against `limit`.
-    Not a closure, so that a call leaves no reference cycle behind."""
+                   limit: int) -> _Leaf | tuple:
+    """The rotation DAG's node of a family, from or into _SHARED_MEMO unless
+    traced; steps[0] counts rotations against `limit`.  Not a closure, so
+    that a call leaves no reference cycle behind."""
     if trace is None and (known := _SHARED_MEMO.get(masks)) is not None:
         return known
     firsts, v = _scan(masks)
     if v is None:
-        k, eps = _balanced_k(masks)
-        result = (1, {k: eps})
+        tree = _build(masks)
+        node = _Leaf(*_balanced_k(masks), tree, tree.render())
     else:
         steps[0] += 1
         if steps[0] > limit:
@@ -308,21 +334,10 @@ def _reduce_family(masks: Masks, trace: TraceHook | None, steps: list[int],
         if trace is not None:
             trace({"at": i + 1,
                    "triple": [_build(f).render() for f in (masks, family_a, family_b)]})
-        # sum -sigma * sign * coords: copy the larger dict, add the smaller
-        sign_a, a = _reduce_family(family_a, trace, steps, limit)
-        sign_b, b = _reduce_family(family_b, trace, steps, limit)
-        sign_a, sign_b = -sigma_a * sign_a, -sigma_b * sign_b
-        if len(a) < len(b):
-            sign_a, a, sign_b, b = sign_b, b, sign_a, a
-        merged, factor = a.copy(), sign_a * sign_b
-        for k, c in b.items():
-            if c := merged.get(k, 0) + factor * c:
-                merged[k] = c
-            else:
-                del merged[k]
-        result = (sign_a, merged)
+        node = (-sigma_a, _reduce_family(family_a, trace, steps, limit),
+                -sigma_b, _reduce_family(family_b, trace, steps, limit))
     if trace is None:
         if len(_SHARED_MEMO) >= _CACHE_CAP:
             _SHARED_MEMO.clear()
-        _SHARED_MEMO[masks] = result
-    return result
+        _SHARED_MEMO[masks] = node
+    return node

@@ -8,15 +8,17 @@ a subtree and re-pairing canonically.  Tests use it as the oracle for
 
 On mask families, `deepest_unbalanced` is the quadratic definition of the
 rotation node, `rotation` finds children by forward scans, and
-`reduce_unsigned` is the reduction with plain dicts: each rotation sums
--sigma * c over both rotated families, then drops zero coefficients.
+`replaced` re-sorts a family after one mask changes and signs it by
+counting, and `reduce_unsigned` is the reduction with plain dicts: each
+rotation sums -sigma * c over both rotated families, then drops zero
+coefficients.
 `remy_tree` draws uniform random trees for sampled checks.
 """
 
+from braidcycles.arnold import perm_sign_of
 from braidcycles.decomposition import _balanced_k
 from braidcycles.errors import DomainError
-from braidcycles.rewrite import _replaced
-from braidcycles.trees import Tree, descendant_sets
+from braidcycles.trees import Tree, _mask_key, descendant_sets
 
 
 def leaf_labels(node):
@@ -135,6 +137,14 @@ def deepest_unbalanced(masks):
     return best
 
 
+def replaced(masks, i, new):
+    """(family, sign): masks[i] replaced by `new`, sorted by the canonical key,
+    and the sign of the permutation taking the aligned ordering to it."""
+    aligned = masks[:i] + (new,) + masks[i + 1:]
+    family = tuple(sorted(aligned, key=_mask_key))
+    return family, perm_sign_of([family.index(m) for m in aligned])
+
+
 def reduce_unsigned(masks, memo):
     """{k: coeff * epsilon(k)} of a family, by rotating at a deepest
     unbalanced node; `memo` maps families to their finished dicts."""
@@ -147,7 +157,7 @@ def reduce_unsigned(masks, memo):
     else:
         i, u1, u2, v2 = rotation(masks, v)
         result = {}
-        for family, sigma in (_replaced(masks, i, u1 | v2), _replaced(masks, i, v2 | u2)):
+        for family, sigma in (replaced(masks, i, u1 | v2), replaced(masks, i, v2 | u2)):
             for k, c in reduce_unsigned(family, memo).items():
                 result[k] = result.get(k, 0) - sigma * c
         result = {k: c for k, c in result.items() if c != 0}

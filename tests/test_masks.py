@@ -108,12 +108,11 @@ class TestMaskConstruction:
     def test_construction_matches_frozenset_oracle(self, g):
         for k in k_sequences(g):
             family, ordering = _merge(k)
-            text, tree, parity = _construct(k)
+            tree, parity = _construct(k)
             want_tree, want_ordering, want_parity = frozenset_construction(k)
             assert family == want_tree._masks
             assert tree == want_tree
             assert hash(tree) == hash(want_tree)
-            assert text == want_tree.render()
             assert tuple(map(_labels, ordering)) == want_ordering
             assert parity == want_parity
             assert build_balanced_tree(k) == want_tree

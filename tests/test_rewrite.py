@@ -8,6 +8,7 @@ import braidcycles.decomposition as decomposition
 import braidcycles.rewrite as rewrite_module
 from braidcycles.decomposition import (
     balanced_tree_to_k,
+    build_balanced_tree,
     decompose,
     det,
     epsilon,
@@ -138,6 +139,17 @@ class TestOnFamilies:
                                for new in (u1 | v2, v2 | u2)]
                 assert signs == [ot.parity() for ot in rotation_triple(t, v).trees]
 
+    @pytest.mark.parametrize("g", range(4, 9))
+    def test_replaced_matches_sorting_oracle(self, g):
+        # the walk from i against a full re-sort by _mask_key, signed by counting
+        for t in enumerate_trees(g):
+            family = t._masks
+            for v in eligible_nodes(t):
+                i, u1, u2, v2 = rewrite_module._rotation(family, v)
+                for new in (u1 | v2, v2 | u2):
+                    want = rotation_oracle.replaced(family, i, new)
+                    assert rewrite_module._replaced(family, i, new) == want
+
     @pytest.mark.parametrize("g", (4, 5, 6))
     def test_cyclic_blocks_on_every_rotation_triple(self, g):
         for t in enumerate_trees(g):
@@ -249,8 +261,8 @@ class TestOnePassSearch:
 
 
 class TestSignedMemo:
-    """_reduce's (sign, coords) memo entries against the unsigned recursion
-    in rotation_oracle, on an empty, a filling and a warm shared memo."""
+    """_reduce's rotation-DAG memo against the unsigned recursion in
+    rotation_oracle, on an empty, a filling and a warm shared memo."""
 
     @pytest.mark.parametrize("g", (3, 4, 5, 6, 7, 9))
     def test_matches_unsigned_recursion(self, g, monkeypatch):
@@ -266,25 +278,35 @@ class TestSignedMemo:
             for t, want in zip(trees, expected):
                 if state == "emptied":
                     rewrite_module._SHARED_MEMO.clear()
-                got = rewrite_module._reduce(t)
+                got = rewrite_module._reduce(t)[0]
                 assert got == want, (state, t.render())
                 assert 0 not in got.values()
 
+    @staticmethod
+    def _leaf(k):
+        tree = build_balanced_tree(k)
+        return rewrite_module._Leaf(k, epsilon(k), tree, tree.render())
+
     def test_cancelled_keys_are_deleted(self, monkeypatch):
-        # no reduction of genus <= 8 cancels a coordinate, so two memo entries
-        # are planted whose merge does: the key must go, not stay as 0
+        # no reduction of genus <= 8 cancels a coordinate, so leaves are
+        # planted whose flatten does: the key must go, not stay as 0
         t = parse_tree("(((1,2),3),4)")
         family = t._masks
         i, u1, u2, v2 = rewrite_module._rotation(family, find_unbalanced(t))
         (family_a, sigma_a), (family_b, sigma_b) = (rewrite_module._replaced(family, i, new)
                                                     for new in (u1 | v2, v2 | u2))
-        a = {(1, 1, 1): 2, (1, 1, 2): 3}
-        b = {(1, 1, 1): 2}
-        sign_b = -sigma_a * sigma_b  # -sigma_a * a and -sigma_b * sign_b * b cancel at (1, 1, 1)
-        planted = {family_a: (1, a), family_b: (sign_b, b)}
+        x, y = self._leaf((1, 1, 1)), self._leaf((1, 1, 2))
+        # t's node is (-sigma_a, x, -sigma_b, node_b); x's two paths cancel
+        node_b = (-sigma_a * sigma_b, x, 1, y)
+        planted = {family_a: x, family_b: node_b}
         monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", planted)
-        assert rewrite_module._reduce(t) == {(1, 1, 2): -sigma_a * 3}
-        assert (a, b) == ({(1, 1, 1): 2, (1, 1, 2): 3}, {(1, 1, 1): 2})
+        coords, leaves = rewrite_module._reduce(t)
+        assert coords == {(1, 1, 2): -sigma_b * y.eps}
+        assert set(leaves) == {(1, 1, 1), (1, 1, 2)}
+        signed = reduce_to_balanced(t)
+        assert signed.terms == ((y.tree, -sigma_b),)
+        assert signed.to_json()["terms"] == [{"tree": y.text, "coeff": -sigma_b}]
+        assert planted[family_b] is node_b == (-sigma_a * sigma_b, x, 1, y)
 
     def test_negative_top_sign_mutates_no_memo_entry(self, monkeypatch):
         monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
@@ -292,15 +314,48 @@ class TestSignedMemo:
 
         def top_sign(t):
             rewrite_module._reduce(t)
-            return memo[t._masks][0]
+            node = memo[t._masks]
+            return node[0] if type(node) is tuple else 1
 
         t = next(t for t in enumerate_trees(6) if top_sign(t) == -1)
-        before = {family: (sign, dict(coords)) for family, (sign, coords) in memo.items()}
-        first = rewrite_module._reduce(t)
-        second = rewrite_module._reduce(t)
-        assert first == second == rotation_oracle.reduce_unsigned(t._masks, {})
-        assert first is not memo[t._masks][1]
-        assert {family: (sign, dict(coords)) for family, (sign, coords) in memo.items()} == before
+        before = dict(memo)
+        first = rewrite_module._reduce(t)[0]
+        want = rotation_oracle.reduce_unsigned(t._masks, {})
+        assert first == want
+        first.clear()  # the result is the caller's own dict
+        assert rewrite_module._reduce(t)[0] == want
+        assert memo.keys() == before.keys()
+        assert all(memo[family] is node for family, node in before.items())
+
+    def test_reduction_across_memo_clears(self, monkeypatch):
+        # a cap of 5 families empties the memo many times inside one
+        # reduction; nodes built before a clear stay alive through their parents
+        monkeypatch.setattr(rewrite_module, "_CACHE_CAP", 5)
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
+        rng = random.Random(8)
+        trees = enumerate_trees(6) + [rotation_oracle.remy_tree(8, rng) for _ in range(100)]
+        for t in trees:
+            signed = reduce_to_balanced(t)
+            assert signed.to_decomposition().as_dict() == rotation_oracle.reduce_unsigned(
+                t._masks, {})
+            assert signed == SignedTreeSum.from_dict(t.genus, signed.as_dict())
+            assert len(rewrite_module._SHARED_MEMO) <= 5
+
+    def test_flatten_budget(self, monkeypatch):
+        # planted DAGs that replay more rotations than (4-2)! = 2: a chain of
+        # three, and a node that is its own child, which must not hang
+        t = parse_tree("((1,2),3)")
+        leaf = self._leaf((1, 1))
+        cyclic = [1, None, 1, None]
+        cyclic[1] = cyclic[3] = cyclic
+        for node in ((1, leaf, 1, (1, leaf, 1, (1, leaf, 1, leaf))), cyclic):
+            monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {t._masks: node})
+            with pytest.raises(RewriteBudgetError,
+                               match="^rotation budget 2 exceeded; rewriting diverged$"):
+                reduce_to_balanced(t)
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {
+            t._masks: (1, leaf, 1, (1, leaf, 1, leaf))})
+        assert rewrite_module._reduce(t)[0] == {(1, 1): 3 * leaf.eps}  # two rotations pass
 
 
 class TestReduce:
@@ -439,13 +494,16 @@ class TestIndexSequences:
             assert rewrite_module._balanced_k(_masks(descendant_sets(b))) == (k, epsilon(k))
 
     @pytest.mark.parametrize("g", range(3, 10))
-    def test_term_cache_matches_construction(self, g):
-        # the returned terms come from the merge construction's cache per k
+    def test_term_cache_matches_construction(self, g, monkeypatch):
+        # the returned terms come from the balanced leaves of the memo
+        monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
         for b in enumerate_balanced(g):
             k = balanced_tree_to_k(b)
             parity = decomposition.parity_between(descendant_sets(b),
                                                   decomposition.construction_ordering(k))
-            assert rewrite_module._construct(k) == (b.render(), b, parity)
+            assert reduce_to_balanced(b).terms == ((b, 1),)
+            assert rewrite_module._SHARED_MEMO[b._masks] == (k, parity, b, b.render())
+            assert decomposition._construct(k) == (b, parity)
 
     @pytest.mark.parametrize("mode", ("shared-memo", "trace"))
     @pytest.mark.parametrize("g", range(3, 8))
@@ -465,9 +523,11 @@ class TestIndexSequences:
         assert engine == by_hand
         assert hash(engine) == hash(by_hand)
         assert repr(engine) == repr(by_hand)
-        assert "_by_k" not in repr(engine)
+        assert "_by_k" not in repr(engine) and "_texts" not in repr(engine)
 
     def test_term_cache_is_bounded(self):
-        # the engine's terms are read from the merge construction's cache per k
-        assert rewrite_module._construct is decomposition._construct
-        assert rewrite_module._construct.cache_info().maxsize == 2**15
+        # the engine's terms are read from the leaves of the shared memo,
+        # emptied at this cap (test_reduction_across_memo_clears runs it at
+        # 5), not from the merge construction's cache
+        assert not hasattr(rewrite_module, "_construct")
+        assert rewrite_module._CACHE_CAP == 2**15

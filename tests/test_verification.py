@@ -3,13 +3,14 @@ from collections import Counter
 
 import pytest
 
+import braidcycles.decomposition as decomposition
 import braidcycles.rewrite as rewrite
 import braidcycles.trees as trees_module
 import braidcycles.verification as verification
 from braidcycles.decomposition import det, incidence_matrix, k_sequences
 from braidcycles.errors import DomainError
 from braidcycles.rewrite import rotation_triple
-from braidcycles.trees import enumerate_trees
+from braidcycles.trees import _build, enumerate_balanced, enumerate_trees
 from braidcycles.verification import (
     SuiteReport,
     relation_cases,
@@ -204,14 +205,18 @@ class TestCrosspath:
         assert report.passed
         assert report.cases == len(enumerate_trees(g))
 
-    def test_builds_no_terms(self, monkeypatch):
-        # crosspath compares coordinates only, so no balanced term is built
-        def term_built(*args, **kwargs):
-            raise AssertionError("verify_crosspath built a balanced term")
+    def test_builds_each_term_once(self, monkeypatch):
+        # crosspath compares coordinates only: the rewriting route builds one
+        # Tree per balanced leaf of the memo, and never runs the merge construction
+        def construction_called(*args, **kwargs):
+            raise AssertionError("the rewriting route ran the merge construction")
 
-        monkeypatch.setattr(rewrite, "_construct", term_built)
+        built = []
+        monkeypatch.setattr(decomposition, "_construct", construction_called)
+        monkeypatch.setattr(rewrite, "_build", lambda masks: built.append(masks) or _build(masks))
         monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
         assert verify_crosspath(6).passed
+        assert sorted(built) == sorted(b._masks for b in enumerate_balanced(6))
 
 
 class TestArnold:
