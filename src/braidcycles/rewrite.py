@@ -282,7 +282,7 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None) -> SignedTreeSum
     worst-case support is over MAX_TREES.
     """
     _check_support(t.genus)
-    by_k, leaves = _reduce(t, trace)
+    by_k, leaves = _reduce(t._masks, trace)
     entries = sorted((leaves[k].text, leaves[k].tree, c * leaves[k].eps) for k, c in by_k.items())
     signed = SignedTreeSum(t.genus, tuple((tree, c) for _, tree, c in entries))
     object.__setattr__(signed, "_by_k", by_k)
@@ -290,16 +290,16 @@ def reduce_to_balanced(t: Tree, trace: TraceHook | None = None) -> SignedTreeSum
     return signed
 
 
-def _reduce(t: Tree, trace: TraceHook | None = None
+def _reduce(masks: Masks, trace: TraceHook | None = None
             ) -> tuple[dict[KSequence, int], dict[KSequence, _Leaf]]:
-    """The coordinates {k: coeff * epsilon(k)} of reduce_to_balanced(t), no
-    zeros kept, and the leaf of each k reached: the DAG flattened from its
-    root with a stack.  Building and flattening each make the rotations of
-    the unmemoized recursion at most, one fewer than its support size of at
-    most (g-2)! (tested up to genus 7, and on caterpillars): past (g-2)!,
-    the engine or the DAG is faulty."""
-    limit = _tree_count(t.genus, True)
-    stack = [(1, _reduce_family(t._masks, trace, [0], limit))]
+    """The coordinates {k: coeff * epsilon(k)} of reduce_to_balanced on the
+    tree of canonical family `masks`, no zeros kept, and the leaf of each k
+    reached: the DAG flattened from its root with a stack.  Building and
+    flattening each make the rotations of the unmemoized recursion at most,
+    one fewer than its support size of at most (g-2)! (tested up to genus 7,
+    and on caterpillars): past (g-2)!, the engine or the DAG is faulty."""
+    limit = _tree_count(len(masks) + 2, True)
+    stack = [(1, _reduce_family(masks, trace, [0], limit))]
     coords, leaves, rotations = {}, {}, 0
     while stack:
         coeff, node = stack.pop()

@@ -74,9 +74,9 @@ def _labels(m: int) -> frozenset[int]:
 
 
 def _walk(node: Node, n: int, masks: list[int]) -> int:
-    """The mask of a node, appending each internal node's mask to `masks`.
-    Only an int in 1..n (no bool) gets a bit, so a faulty label leaves the
-    root mask short."""
+    """The mask of a node of a tree input, appending each internal node's
+    mask to `masks`.  Only an int in 1..n (no bool) gets a bit, so a faulty
+    label leaves the root mask short."""
     if isinstance(node, int):
         return 1 << node if 0 < node <= n and node is not True else 0
     if not (isinstance(node, (tuple, list)) and len(node) == 2):
@@ -315,23 +315,20 @@ def _enumerate(g: int, balanced: bool) -> list[Tree]:
 
 def _listing(g: int, balanced: bool) -> Iterator[tuple[str, Masks]]:
     """(text, canonical family) of each genus-g tree, or balanced tree, in
-    text order: each root of the label-split lists walked once.  A family is
-    sorted by its masks' ranks among all masks by _mask_key, which order a
-    laminar family canonically, and equal masks share one int object."""
-    nodes, texts = _tree_lists(g, balanced)
-    by_rank = sorted(range(2, 1 << g, 2), key=_mask_key)
-    rank = {m: i for i, m in enumerate(by_rank)}
+    text order: the split lists sorted by text."""
+    families, texts = _tree_lists(g, balanced)
     for i in sorted(range(len(texts)), key=texts.__getitem__):
-        masks: list[int] = []
-        _walk(nodes[i], g - 1, masks)
-        yield texts[i], tuple(map(by_rank.__getitem__, sorted(map(rank.__getitem__, masks))))
+        yield texts[i], families[i]
 
 
-def _tree_lists(g: int, balanced: bool) -> tuple[list[Node], list[str]]:
-    """The canonical roots and texts of the genus-g trees, or of the balanced
-    ones, as unsorted parallel lists; refused if over MAX_TREES trees."""
+def _tree_lists(g: int, balanced: bool) -> tuple[list[Masks], list[str]]:
+    """The canonical families and texts of the genus-g trees, or of the
+    balanced ones, as parallel lists in split order; refused if over
+    MAX_TREES trees."""
     _check_enumeration(g, balanced)
-    return _splits((1 << g) - 2, balanced, {1 << x: ([x], [str(x)]) for x in range(1, g)})
+    rank = {m: i for i, m in enumerate(sorted(range(2, 1 << g, 2), key=_mask_key))}
+    leaves = {1 << x: ([()], [str(x)]) for x in range(1, g)}
+    return _splits((1 << g) - 2, balanced, leaves, rank.__getitem__)
 
 
 def _check_enumeration(g: int, balanced: bool) -> None:
@@ -354,22 +351,24 @@ def _tree_count(g: int, balanced: bool) -> int | None:
     return count
 
 
-def _splits(mask: int, balanced: bool,
-            memo: dict[int, tuple[list[Node], list[str]]]) -> tuple[list[Node], list[str]]:
-    """The canonical subtrees on the labels of `mask` and their texts, as
-    parallel lists (no (node, text) pairs for the garbage collector to scan),
-    one product of the parts' lists per split of _parts."""
+def _splits(mask: int, balanced: bool, memo: dict[int, tuple[list[Masks], list[str]]],
+            rank: Callable[[int], int]) -> tuple[list[Masks], list[str]]:
+    """The canonical families and texts of the subtrees on the labels of
+    `mask`, as parallel lists, one product of the parts' lists per split of
+    _parts.  A family is `mask`, then its parts' families merged by `rank`,
+    the _mask_key rank of a mask; a leaf's is ().  Equal masks are one int."""
     if (got := memo.get(mask)) is not None:
         return got
-    nodes: list[Node] = []
+    families: list[Masks] = []
     texts: list[str] = []
     for first, last in _parts(mask, balanced):
-        first_nodes, first_texts = _splits(first, balanced, memo)
-        last_nodes, last_texts = _splits(last, balanced, memo)
-        nodes += [(x, y) for x in first_nodes for y in last_nodes]
+        first_families, first_texts = _splits(first, balanced, memo, rank)
+        last_families, last_texts = _splits(last, balanced, memo, rank)
+        families += [(mask, *sorted(x + y, key=rank))
+                     for x in first_families for y in last_families]
         texts += [f"({x},{y})" for x in first_texts for y in last_texts]
-    memo[mask] = (nodes, texts)
-    return nodes, texts
+    memo[mask] = (families, texts)
+    return families, texts
 
 
 def _split_count(g: int, balanced: bool) -> int:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from braidcycles.cli import main
 from braidcycles.decomposition import CycleDecomposition
 from braidcycles.trees import descendant_sets, enumerate_balanced, enumerate_trees, tree_to_json
 from braidcycles.verification import SuiteReport
+from test_verification import plant_crosspath_disagreement
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -73,6 +76,17 @@ class TestTrees:
         for (fmt, count), out in expected.items():
             flags = ["--balanced"] * balanced + ["--count"] * count
             assert run("trees", "--g", str(g), "--format", fmt, *flags) == (0, out, "")
+
+    @pytest.mark.parametrize("flags, digest", (
+        ((), "7c754a0c176c2a4b85515768e8b1839e05a259ff3f0edf50c3be3a1ac801890f"),
+        (("--balanced",), "8a6a1161cdd81373bbaad62604d995c7599f0f31557268b986f73fb102375c46"),
+        (("--balanced", "--format", "json"),
+         "60a2c02901a1e128de9b31239f4f4ca5581697727efda971e2f8b2ed33b027f7"),
+    ))
+    def test_genus_9_listing_bytes(self, run, flags, digest):
+        code, out, err = run("trees", "--g", "9", *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_count_and_text_listing_build_no_tree(self, run, monkeypatch):
         def tree_built(*args, **kwargs):
@@ -308,6 +322,18 @@ class TestVerify:
         assert report["cases"] == 15
         assert report["failures"] == []
         assert set(report) == {"suite", "param", "cases", "failures", "millis"}
+
+    def test_crosspath_failure_exits_2(self, run, monkeypatch):
+        tree = enumerate_trees(5)[3]
+        plant_crosspath_disagreement(monkeypatch, {tree._masks})
+        code, out, _ = run("verify", "--suite", "crosspath", "--g", "5")
+        assert code == 2
+        header, witness = out.splitlines()
+        assert re.fullmatch(r"crosspath param=5 cases=15 failures=1 millis=\d+ FAIL", header)
+        assert json.loads(witness)["tree"] == tree.render()
+        code, out, _ = run("verify", "--suite", "crosspath", "--g", "5", "--format", "json")
+        assert code == 2
+        assert [f["tree"] for f in json.loads(out)["failures"]] == [tree.render()]
 
     def test_relations_small_sample(self, run):
         code, out, _ = run("verify", "--suite", "relations", "--g", "6",

@@ -1,6 +1,7 @@
 """The direct canonical enumeration against the canonicalize-everything oracle."""
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from braidcycles.trees import (
     enumerate_balanced,
     enumerate_trees,
     is_balanced,
+    parse_tree,
 )
 
 
@@ -181,7 +183,7 @@ class TestBudget:
     def test_largest_accepted_requests(self, monkeypatch, g, balanced):
         calls = []
 
-        def splits(mask, split_balanced, memo):
+        def splits(mask, split_balanced, memo, rank):
             calls.append((mask, split_balanced))
             return [], []
 
@@ -193,6 +195,33 @@ class TestBudget:
     def test_small_genus_message_unchanged(self, no_enumeration, g):
         for balanced in (False, True):
             both_refused(g, balanced, f"^genus must be at least 3, got {g}$")
+
+
+class TestSplitLists:
+    """_tree_lists holds each tree's canonical family and text, in split order."""
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    @pytest.mark.parametrize("balanced", (False, True))
+    def test_families_are_the_enumerated_ones(self, g, balanced):
+        families, texts = trees_module._tree_lists(g, balanced)
+        assert Counter(families) == Counter(
+            t._masks for t in trees_module._enumerate(g, balanced))
+        assert len(texts) == len(families)
+
+    @pytest.mark.parametrize("g", range(3, 8))
+    @pytest.mark.parametrize("balanced", (False, True))
+    def test_each_text_parses_to_its_family(self, g, balanced):
+        for family, text in zip(*trees_module._tree_lists(g, balanced)):
+            assert parse_tree(text)._masks == family
+
+    @pytest.mark.parametrize("enumerate_", (enumerate_trees, enumerate_balanced))
+    def test_equal_masks_share_one_int(self, enumerate_):
+        # CPython shares the ints up to 256 anyway; genus 9 has masks up to 510
+        first = {}
+        for t in enumerate_(9):
+            for m in t._masks:
+                assert first.setdefault(m, m) is m
+        assert max(first) > 256
 
 
 class TestSplitCount:

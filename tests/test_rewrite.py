@@ -278,7 +278,7 @@ class TestSignedMemo:
             for t, want in zip(trees, expected):
                 if state == "emptied":
                     rewrite_module._SHARED_MEMO.clear()
-                got = rewrite_module._reduce(t)[0]
+                got = rewrite_module._reduce(t._masks)[0]
                 assert got == want, (state, t.render())
                 assert 0 not in got.values()
 
@@ -300,7 +300,7 @@ class TestSignedMemo:
         node_b = (-sigma_a * sigma_b, x, 1, y)
         planted = {family_a: x, family_b: node_b}
         monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", planted)
-        coords, leaves = rewrite_module._reduce(t)
+        coords, leaves = rewrite_module._reduce(t._masks)
         assert coords == {(1, 1, 2): -sigma_b * y.eps}
         assert set(leaves) == {(1, 1, 1), (1, 1, 2)}
         signed = reduce_to_balanced(t)
@@ -313,17 +313,17 @@ class TestSignedMemo:
         memo = rewrite_module._SHARED_MEMO
 
         def top_sign(t):
-            rewrite_module._reduce(t)
+            rewrite_module._reduce(t._masks)
             node = memo[t._masks]
             return node[0] if type(node) is tuple else 1
 
         t = next(t for t in enumerate_trees(6) if top_sign(t) == -1)
         before = dict(memo)
-        first = rewrite_module._reduce(t)[0]
+        first = rewrite_module._reduce(t._masks)[0]
         want = rotation_oracle.reduce_unsigned(t._masks, {})
         assert first == want
         first.clear()  # the result is the caller's own dict
-        assert rewrite_module._reduce(t)[0] == want
+        assert rewrite_module._reduce(t._masks)[0] == want
         assert memo.keys() == before.keys()
         assert all(memo[family] is node for family, node in before.items())
 
@@ -355,7 +355,7 @@ class TestSignedMemo:
                 reduce_to_balanced(t)
         monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {
             t._masks: (1, leaf, 1, (1, leaf, 1, leaf))})
-        assert rewrite_module._reduce(t)[0] == {(1, 1): 3 * leaf.eps}  # two rotations pass
+        assert rewrite_module._reduce(t._masks)[0] == {(1, 1): 3 * leaf.eps}  # two rotations pass
 
 
 class TestReduce:

@@ -7,7 +7,8 @@ import braidcycles.decomposition as decomposition
 import braidcycles.rewrite as rewrite
 import braidcycles.trees as trees_module
 import braidcycles.verification as verification
-from braidcycles.decomposition import det, incidence_matrix, k_sequences
+from braidcycles.decomposition import (CycleDecomposition, decompose, det, incidence_matrix,
+                                       k_sequences)
 from braidcycles.errors import DomainError
 from braidcycles.rewrite import rotation_triple
 from braidcycles.trees import _build, enumerate_balanced, enumerate_trees
@@ -21,6 +22,21 @@ from braidcycles.verification import (
     verify_relations,
 )
 from test_decomposition import det_by_permutation_expansion
+
+
+def plant_crosspath_disagreement(monkeypatch, families):
+    """Make the rewriting route that verify_crosspath calls negate its
+    coordinates on the trees whose canonical families are in `families`.
+    The patched call takes a Tree or a canonical family."""
+    reduce = verification._reduce
+
+    def disagreeing(tree_or_family, *args, **kwargs):
+        coords, leaves = reduce(tree_or_family, *args, **kwargs)
+        if getattr(tree_or_family, "_masks", tree_or_family) in families:
+            coords = {k: -c for k, c in coords.items()}
+        return coords, leaves
+
+    monkeypatch.setattr(verification, "_reduce", disagreeing)
 
 
 class TestCounts:
@@ -217,6 +233,41 @@ class TestCrosspath:
         monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
         assert verify_crosspath(6).passed
         assert sorted(built) == sorted(b._masks for b in enumerate_balanced(6))
+
+    def test_builds_no_tree_when_every_tree_passes(self, monkeypatch):
+        # the suite, the enumeration and the determinant route build no Tree;
+        # with the memo warm, the rewriting route builds none either
+        def tree_built(*args, **kwargs):
+            raise AssertionError("a Tree was built")
+
+        for module in (trees_module, verification, decomposition):
+            monkeypatch.setattr(module, "_build", tree_built)
+        monkeypatch.setattr(rewrite, "_SHARED_MEMO", {})
+        assert verify_crosspath(6).passed
+        monkeypatch.setattr(rewrite, "_build", tree_built)
+        report = verify_crosspath(6)
+        assert report.passed
+        assert report.cases == 105
+
+    def test_failure_witness(self, monkeypatch):
+        t = enumerate_trees(5)[7]
+        plant_crosspath_disagreement(monkeypatch, {t._masks})
+        report = verify_crosspath(5)
+        assert not report.passed
+        assert report.cases == 15
+        via_det = decompose(t)
+        negated = CycleDecomposition.from_dict(5, {k: -c for k, c in via_det.as_dict().items()})
+        assert report.failures == [{"check": "crosspath", "tree": t.render(),
+                                    "determinant": via_det.to_json(),
+                                    "rewrite": negated.to_json()}]
+        assert set(report.failures[0]) == {"check", "tree", "determinant", "rewrite"}
+
+    def test_failures_sorted_by_text(self, monkeypatch):
+        # the suite visits trees in split order, which is not text order
+        texts = [t.render() for t in enumerate_trees(5)]
+        assert trees_module._tree_lists(5, False)[1] != texts
+        plant_crosspath_disagreement(monkeypatch, {t._masks for t in enumerate_trees(5)})
+        assert [f["tree"] for f in verify_crosspath(5).failures] == texts
 
 
 class TestArnold:
