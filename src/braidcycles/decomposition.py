@@ -20,7 +20,6 @@ and the global sign (-1)^C(g-2,2) lives only in pair/pair_class.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
 from .errors import DomainError
-from .trees import (_CACHE_CAP, MAX_TREES, Masks, Tree, _bits, _build, _labels, _mask_key,
+from .trees import (MAX_TREES, Masks, Tree, _bits, _build, _labels, _mask_key,
                     _tree_count, descendant_sets)
 
 KSequence = tuple[int, ...]
@@ -73,7 +72,6 @@ def _merge(k: KSequence) -> tuple[Masks, Masks]:
     return tuple(sorted(created, key=_mask_key)), tuple(reversed(created))
 
 
-@functools.lru_cache(maxsize=_CACHE_CAP)
 def _construct(k: KSequence) -> tuple[Tree, int]:
     """The balanced tree of k and epsilon(k): the parity between its
     canonical and construction orderings."""
@@ -186,9 +184,10 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _coordinates(family: Masks) -> dict[KSequence, int]:
-    """Every nonzero det(incidence_matrix(k, t)) of the tree t whose canonical
-    mask family is `family`, keyed by k in lexicographic order.
+def _support(family: Masks) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(sign, choices): det(incidence_matrix(k, t)) of the tree t whose
+    canonical mask family is `family` is `sign` at each k in the product of
+    `choices`, row i's labels k_i lowest first, and 0 at every other k.
 
     Row i of the incidence matrix marks the ancestors-or-self of the node
     a_i = LCA(k_i, i+1), so X = A.Z: A selects node a_i in row i and Z is the
@@ -210,7 +209,14 @@ def _coordinates(family: Masks) -> dict[KSequence, int]:
             p -= 1
         image.append(p)
         choices.append(_bits(family[p] & below))
-    return dict.fromkeys(itertools.product(*choices), perm_sign_of(image))
+    return perm_sign_of(image), tuple(choices)
+
+
+def _coordinates(family: Masks) -> dict[KSequence, int]:
+    """Every nonzero det(incidence_matrix(k, t)) of the tree t whose canonical
+    mask family is `family`, keyed by k in lexicographic order (_support)."""
+    sign, choices = _support(family)
+    return dict.fromkeys(itertools.product(*choices), sign)
 
 
 def _coordinate(family: Masks, k: KSequence) -> int:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from .decomposition import (CycleDecomposition, KSequence, _balanced_k, _check_support,
                             balanced_tree_to_k, epsilon, parity_between)
 from .errors import DomainError, RewriteBudgetError
-from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _tree_count,
+from .trees import (_CACHE_CAP, Masks, Tree, _build, _labels, _scan, _tree_count,
                     descendant_sets, is_balanced)
 
 TraceHook = Callable[[dict], None]
@@ -115,30 +115,6 @@ def _cyclic_blocks(f1: Masks, f2: Masks, f3: Masks) -> tuple[int, int, int] | No
     return b1, b2, b3
 
 
-def _scan(masks: Masks) -> tuple[list[int], int | None]:
-    """One backward pass over a family: per index, the child mask holding the
-    node's lowest label lo (the last mask seen whose lowest bit is lo, else
-    the leaf lo), and the position of a deepest unbalanced node, the smallest
-    on ties, or None.  `best` keys each subtree holding one by its lowest bit,
-    with depth * n - index of its best one, depth counted from the subtree's
-    top; a parent takes over its children's keys (-n if none)."""
-    n, firsts = len(masks), [0] * len(masks)
-    top, best = {}, {}  # by lowest bit: the last mask seen, and keys as above
-    for j, s in zip(range(n - 1, -1, -1), reversed(masks)):
-        lo = s & -s
-        a = firsts[j] = top.get(lo, lo)
-        top[lo] = s
-        if best:
-            b = s ^ a
-            key_a, key_b = best.pop(lo, -n), best.pop(b & -b, -n)
-            if (key := (key_a if key_a > key_b else key_b) + n) > 0:
-                best[lo] = key
-                continue
-        if a & (rest := s ^ lo) & -rest:  # a also holds the second lowest label
-            best[lo] = -j
-    return firsts, -best.popitem()[1] % n + 1 if best else None
-
-
 def _children(s: int, a: int) -> tuple[int, int]:
     """Node s's children, given a, its child holding its lowest label: first
     the child holding its two smallest labels, if one does, else canonical order."""
@@ -146,11 +122,13 @@ def _children(s: int, a: int) -> tuple[int, int]:
     return (a, b) if a & rest & -rest or a.bit_count() >= b.bit_count() else (b, a)
 
 
-def _rotation(masks: Masks, v: int, firsts: list[int] | None = None) -> tuple[int, int, int, int]:
-    """Index of v1 in `masks`, and u1, u2, v2: v has children (v1, v2) and v1,
-    which must be internal, has children (u1, u2), both as _children orders
-    them from _scan's `firsts` (computed if not given).  The same preference
-    inside v1 is what makes re-rotating the first output recover the input."""
+def _rotated(masks: Masks, v: int, firsts: list[int] | None = None
+             ) -> tuple[int, tuple[Masks, int], tuple[Masks, int]]:
+    """(i, (family_a, sign_a), (family_b, sign_b)): v has children (v1, v2),
+    v1 = masks[i] is internal with children (u1, u2), both as _children orders
+    them from _scan's `firsts` (computed if not given), and _replaced swaps v1
+    for u1|v2 and for v2|u2.  The same preference inside v1 is what makes
+    re-rotating the first output recover the input."""
     if not (1 <= v <= len(masks)):
         raise DomainError(f"node index {v} out of range 1..{len(masks)}")
     firsts = _scan(masks)[0] if firsts is None else firsts
@@ -158,7 +136,8 @@ def _rotation(masks: Masks, v: int, firsts: list[int] | None = None) -> tuple[in
     if v1.bit_count() < 2:
         raise DomainError("node has two leaf children; no rotation is available")
     i = masks.index(v1, v)
-    return (i, *_children(v1, firsts[i]), v2)
+    u1, u2 = _children(v1, firsts[i])
+    return i, _replaced(masks, i, u1 | v2), _replaced(masks, i, v2 | u2)
 
 
 def _replaced(masks: Masks, i: int, new: int) -> tuple[Masks, int]:
@@ -191,10 +170,8 @@ def rotation_triple(t: Tree, v: int) -> CyclicTriple:
 
     The rotated node keeps its position; only its descendant set changes.
     """
-    masks = t._masks
-    i, u1, u2, v2 = _rotation(masks, v)
-    return is_cyclic_triple(t, *(_build(_replaced(masks, i, new)[0])
-                                 for new in (u1 | v2, v2 | u2)))
+    _, (family_a, _), (family_b, _) = _rotated(t._masks, v)
+    return is_cyclic_triple(t, _build(family_a), _build(family_b))
 
 
 def find_unbalanced(t: Tree) -> int | None:
@@ -328,9 +305,7 @@ def _reduce_family(masks: Masks, trace: TraceHook | None, steps: list[int],
         steps[0] += 1
         if steps[0] > limit:
             raise RewriteBudgetError(f"rotation budget {limit} exceeded; rewriting diverged")
-        i, u1, u2, v2 = _rotation(masks, v, firsts)
-        family_a, sigma_a = _replaced(masks, i, u1 | v2)
-        family_b, sigma_b = _replaced(masks, i, v2 | u2)
+        i, (family_a, sigma_a), (family_b, sigma_b) = _rotated(masks, v, firsts)
         if trace is not None:
             trace({"at": i + 1,
                    "triple": [_build(f).render() for f in (masks, family_a, family_b)]})

@@ -259,36 +259,49 @@ def descendant_sets(t: Tree) -> tuple[frozenset[int], ...]:
     return tuple(map(_labels, t._masks))
 
 
-def _node_report(masks: Masks) -> list[tuple[int, bool]]:
-    """(depth, balanced) per position of a canonical family.  A mask's
-    ancestors are the earlier masks holding its lowest bit lo; the first later
-    mask holding lo is the child holding lo, unless that is a leaf."""
-    report = []
-    for i, s in enumerate(masks):
+def _scan(masks: Masks) -> tuple[list[int], int | None]:
+    """One backward pass over a family: per index, the child mask holding the
+    node's lowest label lo (the last mask seen whose lowest bit is lo, else
+    the leaf lo), and the position of a deepest unbalanced node, the smallest
+    on ties, or None.  `best` keys each subtree holding one by its lowest bit,
+    with depth * n - index of its best one, depth counted from the subtree's
+    top; a parent takes over its children's keys (-n if none)."""
+    n, firsts = len(masks), [0] * len(masks)
+    top, best = {}, {}  # by lowest bit: the last mask seen, and keys as above
+    for j, s in zip(range(n - 1, -1, -1), reversed(masks)):
         lo = s & -s
-        second = (s ^ lo) & -(s ^ lo)
-        child = next((c for c in masks[i + 1:] if c & lo), 0)
-        report.append((sum(a & lo != 0 for a in masks[:i]), not child & second))
-    return report
+        a = firsts[j] = top.get(lo, lo)
+        top[lo] = s
+        if best:
+            b = s ^ a
+            key_a, key_b = best.pop(lo, -n), best.pop(b & -b, -n)
+            if (key := (key_a if key_a > key_b else key_b) + n) > 0:
+                best[lo] = key
+                continue
+        if a & (rest := s ^ lo) & -rest:  # a also holds the second lowest label
+            best[lo] = -j
+    return firsts, -best.popitem()[1] % n + 1 if best else None
 
 
 def node_depths(t: Tree) -> tuple[int, ...]:
-    """Depth (edge distance from the root) per canonical node position."""
-    return tuple(depth for depth, _ in _node_report(t._masks))
+    """Depth (edge distance from the root) per canonical node position: the
+    number of earlier masks, its ancestors, holding the node's lowest label."""
+    return tuple(sum(a & s & -s != 0 for a in t._masks[:i]) for i, s in enumerate(t._masks))
 
 
 def balance_report(t: Tree) -> tuple[bool, ...]:
     """Per-node balance flags, indexed by canonical node position.
 
     A node is balanced when its two smallest descendant leaf labels lie in
-    different child subtrees.
+    different child subtrees: its child holding the lowest (_scan) lacks the other.
     """
-    return tuple(ok for _, ok in _node_report(t._masks))
+    firsts = _scan(t._masks)[0]
+    return tuple(not a & (rest := s ^ (s & -s)) & -rest for s, a in zip(t._masks, firsts))
 
 
 def is_balanced(t: Tree) -> bool:
     """True iff every internal node separates its two smallest descendants."""
-    return all(balance_report(t))
+    return _scan(t._masks)[1] is None
 
 
 def enumerate_trees(g: int) -> list[Tree]:

@@ -14,6 +14,7 @@ every check holds the GIL, so worker threads only slowed suites down.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .decomposition import (
     CycleDecomposition,
     KSequence,
     _coordinates,
+    _support,
     build_balanced_tree,
     decompose,
     det,
@@ -34,8 +36,8 @@ from .decomposition import (
     unit_triangular_certificate,
 )
 from .errors import DomainError
-from .rewrite import CyclicTriple, _cyclic_blocks, _reduce, _replaced, _rotation
-from .trees import _CACHE_CAP, Tree, _build, _tree_count, _tree_lists, enumerate_trees
+from .rewrite import CyclicTriple, _cyclic_blocks, _reduce, _rotated
+from .trees import _CACHE_CAP, Masks, _build, _listing, _tree_count, _tree_lists
 
 MAX_SAMPLE = 1_000_000  # the most cases a sampling suite draws: arnold at n=6 takes ~50 s
 
@@ -108,10 +110,10 @@ def verify_duality(g: int) -> SuiteReport:
                        int((time.perf_counter() - start) * 1000))
 
 
-def relation_cases(g: int) -> list[tuple[Tree, int]]:
-    """Every (tree, node) pair eligible for rotation at genus g."""
-    return [(t, pos) for t in enumerate_trees(g)
-            for pos, s in enumerate(t._masks, start=1) if s.bit_count() >= 3]
+def relation_cases(g: int) -> list[tuple[Masks, int]]:
+    """Every (canonical family, node) pair eligible for rotation at genus g."""
+    return [(family, pos) for _, family in _listing(g, False)
+            for pos, s in enumerate(family, start=1) if s.bit_count() >= 3]
 
 
 def verify_relations(g: int, sample: int = 10000, seed: int = 0) -> SuiteReport:
@@ -132,17 +134,15 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0) -> SuiteReport:
     pool = relation_cases(g)
     draws = range(len(pool)) if g <= 5 else _sample_indices(len(pool), sample, seed)
 
-    # an aligned determinant is the sign _replaced returns times the canonical
-    # one, so coordinates are computed once per family, in a bounded cache
-    canonical = functools.lru_cache(maxsize=_CACHE_CAP)(_coordinates)
+    # an aligned determinant is the sign _rotated returns times the canonical
+    # one; each family's support, not its expansion, is kept in a bounded cache
+    support = functools.lru_cache(maxsize=_CACHE_CAP)(_support)
 
-    def check_case(tree: Tree, pos: int) -> list[dict]:
-        family = tree._masks
-        i, u1, u2, v2 = _rotation(family, pos)
-        entries = ((family, 1), _replaced(family, i, u1 | v2), _replaced(family, i, v2 | u2))
+    def check_case(family: Masks, pos: int) -> list[dict]:
+        entries = ((family, 1), *_rotated(family, pos)[1:])
 
         def witness(check: str) -> dict:
-            return {"check": check, "tree": tree.render(), "node": pos,
+            return {"check": check, "tree": _build(family).render(), "node": pos,
                     "triple": [_build(f).render() for f, _ in entries]}
 
         bad = []
@@ -150,12 +150,16 @@ def verify_relations(g: int, sample: int = 10000, seed: int = 0) -> SuiteReport:
             bad.append(witness("pattern"))
         total: dict[KSequence, int] = {}
         for f, sign in entries:
-            for k, c in canonical(f).items():
+            c, choices = support(f)
+            for k in itertools.product(*choices):
                 total[k] = total.get(k, 0) + sign * c
         failing = min((k for k, c in total.items() if c), default=None)
         if failing is not None:
-            bad.append({**witness("determinant-sum"), "k": list(failing),
-                        "dets": [sign * canonical(f).get(failing, 0) for f, sign in entries]})
+            dets = []  # each read from the support the check summed
+            for f, sign in entries:
+                c, choices = support(f)
+                dets.append(sign * c if all(map(tuple.__contains__, choices, failing)) else 0)
+            bad.append({**witness("determinant-sum"), "k": list(failing), "dets": dets})
         return bad
 
     # one check per distinct draw, in order of first draw; bounded by the pool

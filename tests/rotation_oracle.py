@@ -7,9 +7,10 @@ a subtree and re-pairing canonically.  Tests use it as the oracle for
 `rewrite.rotation_triple`: the same trees, orderings, blocks and positions.
 
 On mask families, `deepest_unbalanced` is the quadratic definition of the
-rotation node, `rotation` finds children by forward scans, and
+rotation node, `rotation` finds children by forward scans,
 `replaced` re-sorts a family after one mask changes and signs it by
-counting, and `reduce_unsigned` is the reduction with plain dicts: each
+counting, `rotated` is the two composed as `rewrite._rotated` returns them,
+and `reduce_unsigned` is the reduction with plain dicts: each
 rotation sums -sigma * c over both rotated families, then drops zero
 coefficients.
 `remy_tree` draws uniform random trees for sampled checks.
@@ -118,6 +119,12 @@ def rotation(masks, v):
     return (i, *children(masks, i), v2)
 
 
+def rotated(masks, v):
+    """(index of v1, (family, sign) with u1|v2, (family, sign) with v2|u2)."""
+    i, u1, u2, v2 = rotation(masks, v)
+    return (i, replaced(masks, i, u1 | v2), replaced(masks, i, v2 | u2))
+
+
 def deepest_unbalanced(masks):
     """Position of a deepest unbalanced node, the smallest on ties, or None.
     A node is unbalanced when the first later mask holding its lowest bit lo,
@@ -155,9 +162,8 @@ def reduce_unsigned(masks, memo):
         k, eps = _balanced_k(masks)
         result = {k: eps}
     else:
-        i, u1, u2, v2 = rotation(masks, v)
         result = {}
-        for family, sigma in (replaced(masks, i, u1 | v2), replaced(masks, i, v2 | u2)):
+        for family, sigma in rotated(masks, v)[1:]:
             for k, c in reduce_unsigned(family, memo).items():
                 result[k] = result.get(k, 0) - sigma * c
         result = {k: c for k, c in result.items() if c != 0}

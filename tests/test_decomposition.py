@@ -139,7 +139,9 @@ class TestConstruction:
             raw.to_decomposition()
 
     def test_construction_cache_is_bounded(self):
-        assert decomposition._construct.cache_info().maxsize == 2**15
+        # the merge construction keeps no cache at all: only verify_duality
+        # repeats a k, and rerunning a merge costs about what a lookup saved
+        assert not hasattr(decomposition._construct, "cache_info")
 
     def test_construction_ordering_root_first(self):
         ordering = construction_ordering((1, 1, 2))

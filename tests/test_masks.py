@@ -29,6 +29,7 @@ from braidcycles.trees import (
     balance_report,
     descendant_sets,
     enumerate_trees,
+    is_balanced,
     node_depths,
 )
 
@@ -93,6 +94,7 @@ class TestMaskFamilies:
             assert descendant_sets(t) == sets
             assert node_depths(t) == depths
             assert balance_report(t) == flags
+            assert is_balanced(t) == all(flags)
 
     @pytest.mark.parametrize("g", range(3, 9))
     def test_masks_convert_back_to_sets(self, g):

@@ -26,7 +26,7 @@ from braidcycles.rewrite import (
     rotate,
     rotation_triple,
 )
-from braidcycles.trees import (_labels, _masks, descendant_sets, enumerate_balanced,
+from braidcycles.trees import (_labels, _masks, _scan, descendant_sets, enumerate_balanced,
                                enumerate_trees, parse_tree)
 
 
@@ -134,21 +134,21 @@ class TestOnFamilies:
         for t in enumerate_trees(g):
             family = t._masks
             for v in eligible_nodes(t):
-                i, u1, u2, v2 = rewrite_module._rotation(family, v)
-                signs = [1] + [rewrite_module._replaced(family, i, new)[1]
-                               for new in (u1 | v2, v2 | u2)]
-                assert signs == [ot.parity() for ot in rotation_triple(t, v).trees]
+                _, (_, sign_a), (_, sign_b) = rewrite_module._rotated(family, v)
+                assert [1, sign_a, sign_b] == [ot.parity() for ot in rotation_triple(t, v).trees]
 
     @pytest.mark.parametrize("g", range(4, 9))
     def test_replaced_matches_sorting_oracle(self, g):
-        # the walk from i against a full re-sort by _mask_key, signed by counting
+        # the walk from i against a full re-sort by _mask_key, signed by counting,
+        # alone and as the two replacements _rotated makes
         for t in enumerate_trees(g):
             family = t._masks
             for v in eligible_nodes(t):
-                i, u1, u2, v2 = rewrite_module._rotation(family, v)
-                for new in (u1 | v2, v2 | u2):
-                    want = rotation_oracle.replaced(family, i, new)
-                    assert rewrite_module._replaced(family, i, new) == want
+                i, u1, u2, v2 = rotation_oracle.rotation(family, v)
+                want = [rotation_oracle.replaced(family, i, new) for new in (u1 | v2, v2 | u2)]
+                assert [rewrite_module._replaced(family, i, new)
+                        for new in (u1 | v2, v2 | u2)] == want
+                assert rewrite_module._rotated(family, v) == (i, *want)
 
     @pytest.mark.parametrize("g", (4, 5, 6))
     def test_cyclic_blocks_on_every_rotation_triple(self, g):
@@ -238,20 +238,20 @@ class TestOnePassSearch:
         for t in enumerate_trees(g):
             family = t._masks
             v = rotation_oracle.deepest_unbalanced(family)
-            firsts, found = rewrite_module._scan(family)
+            firsts, found = _scan(family)
             assert find_unbalanced(t) == found == v
             if v is not None:
                 # the rotation the engine takes, from the pass's own children
-                taken = rewrite_module._rotation(family, v, firsts)
-                assert taken == rewrite_module._rotation(family, v)
-                assert taken == rotation_oracle.rotation(family, v)
+                taken = rewrite_module._rotated(family, v, firsts)
+                assert taken == rewrite_module._rotated(family, v)
+                assert taken == rotation_oracle.rotated(family, v)
 
     @pytest.mark.parametrize("g", range(4, 9))
     def test_rotation_matches_forward_child_scans(self, g):
         for t in enumerate_trees(g):
             family = t._masks
             for v in eligible_nodes(t):
-                assert rewrite_module._rotation(family, v) == rotation_oracle.rotation(family, v)
+                assert rewrite_module._rotated(family, v) == rotation_oracle.rotated(family, v)
 
     def test_smallest_position_on_ties(self):
         # {1,2,3} at position 2 and {4,5,6} at position 3 are both unbalanced at depth 1
@@ -292,9 +292,8 @@ class TestSignedMemo:
         # planted whose flatten does: the key must go, not stay as 0
         t = parse_tree("(((1,2),3),4)")
         family = t._masks
-        i, u1, u2, v2 = rewrite_module._rotation(family, find_unbalanced(t))
-        (family_a, sigma_a), (family_b, sigma_b) = (rewrite_module._replaced(family, i, new)
-                                                    for new in (u1 | v2, v2 | u2))
+        _, (family_a, sigma_a), (family_b, sigma_b) = rewrite_module._rotated(
+            family, find_unbalanced(t))
         x, y = self._leaf((1, 1, 1)), self._leaf((1, 1, 2))
         # t's node is (-sigma_a, x, -sigma_b, node_b); x's two paths cancel
         node_b = (-sigma_a * sigma_b, x, 1, y)
@@ -528,6 +527,6 @@ class TestIndexSequences:
     def test_term_cache_is_bounded(self):
         # the engine's terms are read from the leaves of the shared memo,
         # emptied at this cap (test_reduction_across_memo_clears runs it at
-        # 5), not from the merge construction's cache
+        # 5), not from the merge construction, which keeps no cache
         assert not hasattr(rewrite_module, "_construct")
         assert rewrite_module._CACHE_CAP == 2**15

@@ -573,9 +573,8 @@ def test_query_path_leaves_no_reference_cycle():
 
 def test_every_cache_is_bounded():
     """Every module-level functools cache in the package holds at most
-    _CACHE_CAP entries, and the three that remain are the ones its traffic
-    uses: label tuples per mask, the merge construction per k, and the
-    arnold ring's sorted products."""
+    _CACHE_CAP entries, and the two that remain are the ones its traffic
+    uses: label tuples per mask and the arnold ring's sorted products."""
     bounds = {}
     for info in pkgutil.iter_modules(braidcycles.__path__):
         if info.name == "__main__":  # runs the CLI on import
@@ -586,5 +585,5 @@ def test_every_cache_is_bounded():
                 bounds[f"{info.name}.{name}"] = value.cache_info().maxsize
     assert trees_module._CACHE_CAP == 1 << 15
     assert bounds == dict.fromkeys(
-        ("arnold._reduce_sorted", "decomposition._construct", "trees._bits"),
+        ("arnold._reduce_sorted", "trees._bits"),
         trees_module._CACHE_CAP)

@@ -117,11 +117,13 @@ class TestRelations:
 
     def test_failure_witness_shape(self, monkeypatch):
         # force wrong determinants to exercise the reporting path: every tree
-        # gets coordinate 1 at the sequences ending in their largest value
-        monkeypatch.setattr(
-            verification, "_coordinates",
-            lambda masks, k=None: {k: 1 for k in k_sequences(masks[0].bit_count() + 1)
-                                   if k[-1] == len(k)})
+        # gets coordinate 1 at the sequences ending in their largest value,
+        # as a product set: k_i in 1..i for i < n, and k_n = n
+        def ending_in_largest(masks):
+            n = masks[0].bit_count() - 1  # the length of k
+            return 1, tuple(tuple(range(1, i + 1)) for i in range(1, n)) + ((n,),)
+
+        monkeypatch.setattr(verification, "_support", ending_in_largest)
         report = verify_relations(4)
         assert not report.passed
         witness = report.failures[0]
@@ -136,13 +138,13 @@ class TestRelations:
 
     def test_each_distinct_draw_checked_once(self, monkeypatch):
         calls = []
-        rotation = verification._rotation
+        rotated = verification._rotated
 
         def counted(family, pos):
             calls.append((family, pos))
-            return rotation(family, pos)
+            return rotated(family, pos)
 
-        monkeypatch.setattr(verification, "_rotation", counted)
+        monkeypatch.setattr(verification, "_rotated", counted)
         report = verify_relations(6, sample=1000, seed=0)
         draws = verification._sample_indices(len(relation_cases(6)), 1000, 0)
         assert report.passed and report.cases == 1000
@@ -159,13 +161,13 @@ class TestRelations:
 
     def test_one_coordinate_computation_per_distinct_tree(self, monkeypatch):
         calls = []
-        coordinates = verification._coordinates
+        support = verification._support
 
         def counted(family):
             calls.append(family)
-            return coordinates(family)
+            return support(family)
 
-        monkeypatch.setattr(verification, "_coordinates", counted)
+        monkeypatch.setattr(verification, "_support", counted)
         report = verify_relations(6, sample=1000, seed=0)
         assert report.passed and report.cases == 1000
         assert calls and len(calls) == len(set(calls))
@@ -174,16 +176,16 @@ class TestRelations:
     def test_signed_canonical_coordinates_match_aligned_determinants(self, g):
         """Each aligned determinant is the ordering's parity times the
         tree's canonical coordinate, against the permutation expansion."""
-        for tree, pos in relation_cases(g):
-            for ot in rotation_triple(tree, pos).trees:
+        for family, pos in relation_cases(g):
+            for ot in rotation_triple(_build(family), pos).trees:
                 coords = verification._coordinates(ot.tree._masks)
                 for k in k_sequences(g):
                     matrix = incidence_matrix(k, ot.tree, ordering=ot.ordering)
                     assert ot.parity() * coords.get(k, 0) == det_by_permutation_expansion(matrix)
 
     def test_builds_no_tree_when_passing(self, monkeypatch):
-        # the suite runs on mask families; past the enumerated pool (the 15
-        # and 945 trees of genus 5 and 7), trees are built for witnesses only
+        # the suite runs on mask families, its pool drawn from the split
+        # lists; trees are built for witnesses only
         def tree_built(*args, **kwargs):
             raise AssertionError("verify_relations built a tree")
 
@@ -198,12 +200,13 @@ class TestRelations:
         monkeypatch.setattr(trees_module, "_build", counted)
         assert verify_relations(5).passed
         assert verify_relations(7, sample=300, seed=1).passed
-        assert len(built) == 15 + 945
+        assert built == []
 
     def test_repeated_failures_reported_per_draw(self, monkeypatch):
         # every case fails; a case drawn n times must be reported n times
-        monkeypatch.setattr(verification, "_coordinates",
-                            lambda masks, k=None: {(1,) * (masks[0].bit_count() - 1): 1})
+        # every tree gets coordinate 1 at k = (1, ..., 1) alone
+        monkeypatch.setattr(verification, "_support",
+                            lambda masks: (1, ((1,),) * (masks[0].bit_count() - 1)))
         report = verify_relations(6, sample=500, seed=3)
         pool = relation_cases(6)
         draws = verification._sample_indices(len(pool), 500, 3)
@@ -211,7 +214,7 @@ class TestRelations:
         assert report.cases == 500
         assert [f["check"] for f in report.failures] == ["determinant-sum"] * 500
         assert (Counter((f["tree"], f["node"]) for f in report.failures)
-                == Counter((pool[i][0].render(), pool[i][1]) for i in draws))
+                == Counter((_build(pool[i][0]).render(), pool[i][1]) for i in draws))
 
 
 class TestCrosspath:
