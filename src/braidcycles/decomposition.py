@@ -9,8 +9,9 @@ decomposes over the balanced basis with exactly these determinants as
 coordinates.  Each determinant is a permutation sign of the lowest common
 ancestors, read off the tree's canonical family of int bitmasks (see
 trees.py): pair reads the one LCA image of its k (_coordinate), and the
-support kernel _coordinates reads the one image that is a bijection, so a
-tree's nonzero coordinates all share one sign in {-1, +1}.
+support kernel _support reads the one image that is a bijection, so a
+tree's nonzero coordinates all share one sign in {-1, +1} and their k's
+form a product set, which decompose keeps as it is.
 
 Sign conventions: a tree contributes its incidence columns in the canonical
 node ordering; the basis element attached to k uses the construction ordering
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Sequence
 
 from .arnold import CohomologyClass, monomial_to_k, perm_sign_of
@@ -255,40 +256,96 @@ def pair_class(c: CohomologyClass, t: Tree) -> int:
     return sum(coeff * pair(monomial_to_k(mono), t) for mono, coeff in c.terms)
 
 
-@dataclass(frozen=True)
 class CycleDecomposition:
     """Coordinates of a tree's cycle over the balanced basis.
 
     The basis element for k is the cycle of build_balanced_tree(k) taken with
     its construction ordering; in that basis the global pairing sign cancels
-    and the coordinates are plain incidence determinants.
+    and the coordinates are plain incidence determinants.  `coefficients`
+    lists the nonzero (k, coefficient) pairs in k order.
+
+    A decomposition made by `decompose` holds them as a signed box instead:
+    one sign times the indicator of the product of g-2 nonempty factors
+    (_support), so making it costs O(g).  Each read of the listing
+    (coefficients, as_dict, to_json, hash, repr) builds it again in
+    O(support) and keeps none of it, because a kept listing would make every
+    held decomposition as large as its support.  Two boxes are equal when
+    their (g, sign, factors) are, which is exact because no factor is empty;
+    any other pair compares listings.  Immutable; ==, hash and repr are those
+    of a frozen dataclass with the fields g and coefficients.
     """
 
-    g: int
-    coefficients: tuple[tuple[KSequence, int], ...]
+    __slots__ = ("g", "_listing", "_box")
+
+    def __init__(self, g: int, coefficients: tuple[tuple[KSequence, int], ...]) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "_listing", coefficients)
+        object.__setattr__(self, "_box", None)
+
+    @classmethod
+    def _boxed(cls, g: int, sign: int, factors: tuple[tuple[int, ...], ...]) -> CycleDecomposition:
+        """`sign` at every k in the product of `factors`, each nonempty and
+        ascending, held without listing it."""
+        d = cls(g, None)
+        object.__setattr__(d, "_box", (sign, factors))
+        return d
 
     @classmethod
     def from_dict(cls, g: int, coeffs: dict[KSequence, int]) -> CycleDecomposition:
         return cls(g=g, coefficients=tuple(sorted((k, c) for k, c in coeffs.items() if c != 0)))
 
+    def _items(self):
+        if self._box is None:
+            return iter(self._listing)
+        sign, factors = self._box
+        return zip(itertools.product(*factors), itertools.repeat(sign))
+
+    @property
+    def coefficients(self) -> tuple[tuple[KSequence, int], ...]:
+        return self._listing if self._box is None else tuple(self._items())
+
     def as_dict(self) -> dict[KSequence, int]:
-        return dict(self.coefficients)
+        return dict(self._items())
 
     def to_json(self) -> dict:
         return {
             "g": self.g,
             "basis": "balanced-construction",
-            "terms": [{"k": list(k), "coeff": c} for k, c in self.coefficients],
+            "terms": [{"k": list(k), "coeff": c} for k, c in self._items()],
         }
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._box is not None and other._box is not None:
+            return self.g == other.g and self._box == other._box
+        return (self.g, self.coefficients) == (other.g, other.coefficients)
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.coefficients))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(g={self.g!r}, coefficients={self.coefficients!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        if self._box is None:
+            return type(self), (self.g, self._listing)
+        return type(self)._boxed, (self.g, *self._box)
 
 
 def decompose(t: Tree) -> CycleDecomposition:
     """Expand a tree's cycle over the balanced basis: the incidence
-    determinants, as LCA permutation signs over the support.  Refused when
-    the (g-2)! worst-case support is over MAX_TREES."""
+    determinants, as LCA permutation signs over the support, held as its
+    signed box in O(g).  Refused when the (g-2)! worst-case support is over
+    MAX_TREES."""
     _check_support(t.genus)
-    # the kernel yields no zero and its keys in order: from_dict's work is done
-    return CycleDecomposition(t.genus, tuple(_coordinates(t._masks).items()))
+    return CycleDecomposition._boxed(t.genus, *_support(t._masks))
 
 
 def _check_support(g: int) -> None:

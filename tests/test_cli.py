@@ -213,6 +213,7 @@ class TestDecompose:
             raise AssertionError("the work started")
 
         monkeypatch.setattr(decomposition, "_coordinates", started)
+        monkeypatch.setattr(decomposition, "_support", started)
         monkeypatch.setattr(rewrite, "_reduce", started)
         genus_12 = "(" * 10 + "1" + "".join(f",{i})" for i in range(2, 12))
         assert run("decompose", "--tree", genus_12, "--method", method) == (

@@ -1,6 +1,10 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +388,43 @@ class TestDecompose:
         d = CycleDecomposition.from_dict(4, {(1, 1): 0, (1, 2): 3})
         assert d.as_dict() == {(1, 2): 3}
 
+    @pytest.mark.parametrize("g", range(3, 12))
+    def test_box_reads_as_its_listing(self, g):
+        # every tree up to genus 8, seeded trees above, and the genus-11
+        # caterpillar; distinct trees have distinct boxes
+        rng = random.Random(g)
+        ts = enumerate_trees(g) if g <= 8 else {remy_tree(g, rng) for _ in range(200)}
+        ts = list(ts) + ([caterpillar(11)] if g == 11 else [])
+        boxes = []
+        for t in ts:
+            box = decompose(t)
+            listed = CycleDecomposition.from_dict(g, _coordinates(t._masks))
+            assert box == listed and listed == box and box == decompose(t)
+            assert not (box != listed or listed != box)
+            assert hash(box) == hash(listed)
+            assert repr(box) == repr(listed)
+            assert box.as_dict() == listed.as_dict()
+            assert box.to_json() == listed.to_json()
+            assert len(box.coefficients) == len(listed.coefficients)
+            boxes.append(box)
+        assert all(a != b for a, b in zip(boxes, boxes[1:]))
+        assert len(set(boxes)) == len(ts)
+        assert pickle.loads(pickle.dumps(boxes[-1])) == boxes[-1] == copy.copy(boxes[-1])
+        with pytest.raises(FrozenInstanceError):
+            boxes[-1].g = g
+
+    def test_box_holds_no_listing(self):
+        # the genus-11 caterpillar's 9! = 362,880 terms are listed only when read
+        t = caterpillar(11)
+        tracemalloc.start()
+        try:
+            d = decompose(t)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+            assert len(d.coefficients) == math.factorial(9)
+            assert tracemalloc.get_traced_memory()[0] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+
 
 def caterpillar(g):
     """(((1,2),3),...,g-1): the genus-g tree of largest support, (g-2)! terms."""
@@ -411,6 +452,7 @@ class TestSupportBudget:
             raise RuntimeError("the work started")
 
         monkeypatch.setattr(decomposition, "_coordinates", record)
+        monkeypatch.setattr(decomposition, "_support", record)
         monkeypatch.setattr(rewrite, "_reduce", record)
         return calls
 

@@ -206,7 +206,7 @@ class TestDeterminantIdentity:
         # the rewriting route stays independent of the determinant route
         names = vars(rewrite_module)
         for name in ("det", "incidence_matrix", "k_sequences", "_coordinates", "_coordinate",
-                     "verify_cyclic_determinant_identity"):
+                     "_support", "verify_cyclic_determinant_identity"):
             assert name not in names
 
 
@@ -379,9 +379,11 @@ class TestReduce:
             raise AssertionError("the rewriting route called the coordinate kernel")
 
         monkeypatch.setattr(decomposition, "_coordinates", kernel_called)
+        monkeypatch.setattr(decomposition, "_support", kernel_called)
         # an empty shared memo, so that every rotation is made again here
         monkeypatch.setattr(rewrite_module, "_SHARED_MEMO", {})
         assert not hasattr(rewrite_module, "_coordinates")
+        assert not hasattr(rewrite_module, "_support")
         for t, want in zip(trees, expected):
             assert reduce_to_balanced(t).to_decomposition() == want
 
